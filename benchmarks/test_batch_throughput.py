@@ -3,10 +3,10 @@
 The ROADMAP's fuzz-farm north star is throughput-bound: thousands of
 *small* programs, each too cheap to amortize a per-(worker, run)
 substrate rebuild, cold oracle/FM memos, or a per-program pickle/queue
-round trip.  PR 10 makes the warm fleet the fast path: content-keyed
-engines and memo tables survive across runs within a fleet epoch, and
+round trip.  The warm fleet is the fast path: worker memo tables
+survive across chunks within a fleet epoch, and
 ``run_pipeline_batch`` coalesces programs into chunked pool tasks
-(`docs/PERF.md` §9.3, `docs/EXECUTION.md` §7).
+(`docs/PERF.md` §9.3, `docs/EXECUTION.md` §5).
 
 The stream here is the suite's single-unit programs, repeated — the
 fuzz-farm shape: many tiny independent jobs.

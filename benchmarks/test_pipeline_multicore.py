@@ -1,16 +1,17 @@
 """Multicore benchmarks: whole-suite analysis, serial vs process pool.
 
-The schedulable grain inside one program is the call-graph subtree, and
-most suite programs have a single procedure — so true multicore pays
-off at the *batch* grain: :func:`repro.pipeline.run_pipeline_batch`
-fans independent programs over a pool of forked worker processes and
+One program always runs serially, so multicore pays off only at the
+*batch* grain: :func:`repro.pipeline.run_pipeline_batch` fans
+independent programs over a pool of forked worker processes and
 rebinds their decision payloads in input order (`docs/PERF.md` §9).
 
 * ``test_suite_serial`` — the whole suite analyzed one program at a
   time, cold caches each round.  The reference cost; runs everywhere.
 * ``test_suite_process_pool`` — the same suite through
-  ``run_pipeline_batch(jobs=4, executor="process")``, cold caches each
-  round, with byte-identical per-loop decisions asserted in the body.
+  ``run_pipeline_batch(jobs=JOBS, executor="process")``, cold caches
+  each round, with byte-identical per-loop decisions asserted in the
+  body.  ``JOBS`` is the cpu count capped at 4: more workers than
+  cores only oversubscribe them.
   On a single-core runner this measures pool overhead only, so the
   live speedup gate (``check_regression.py --multicore``) skips there
   with a notice instead of comparing these recordings.
@@ -25,7 +26,7 @@ from repro.arraydf.options import AnalysisOptions
 from repro.pipeline import run_pipeline_batch
 from repro.suites import all_programs
 
-JOBS = 4
+JOBS = min(4, os.cpu_count() or 1)
 
 
 def _programs():

@@ -273,12 +273,9 @@ class ArrayDataflow:
                 loop=loop,
                 info=info[loop],
                 body_value=body_value,
-                loop_value=(
-                    AccessValue.empty() if loop_value is None else loop_value
-                ),
+                loop_value=loop_value,
                 unit_name=unit.name,
                 path_pred=path_pred,
-                elided=loop_value is None,
             )
         return summary
 
@@ -749,10 +746,7 @@ def _summary_payload(summary: UnitSummary):
     post-order so a rebound summary reports loops in the same order.
     """
     loop_rows = [
-        # ``None`` marks an elided (never computed) projection; such
-        # payloads only cross the process-executor boundary — elided
-        # summaries never reach the cache
-        (ls.label, ls.body_value, None if ls.elided else ls.loop_value, ls.path_pred)
+        (ls.label, ls.body_value, ls.loop_value, ls.path_pred)
         for ls in summary.loops.values()
     ]
     return (summary.proc_value, loop_rows)

@@ -84,7 +84,7 @@ def _mark_warned(ctx: str) -> bool:
 
 
 #: when set, fallback warnings are appended here instead of emitted
-#: (process-executor workers capture, the parent replays)
+#: (batch pool workers capture, the parent replays)
 _capture: list = None  # type: ignore[assignment]
 
 

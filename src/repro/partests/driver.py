@@ -125,14 +125,10 @@ class ParallelizationDriver:
     :meth:`run` is a thin shim over the pass pipeline
     (:func:`repro.pipeline.run_pipeline`): scalar propagation, the
     array data-flow walk, per-loop decisions and the enclosed marking
-    all execute as scheduled passes, with *jobs* workers running
-    independent callgraph subtrees concurrently — on threads by
-    default, or on real cores under ``executor="process"`` /
-    ``REPRO_EXECUTOR=process`` (results are byte-identical for any job
-    count and either executor).  :meth:`run_legacy` keeps the original
-    monolithic path — the pinned reference the integration tests
-    compare the pipeline against, also selectable process-wide via
-    ``REPRO_PIPELINE=0``; it is always serial and ignores *executor*.
+    all execute as passes, serially.  :meth:`run_legacy` keeps the
+    original monolithic path — the pinned reference the integration
+    tests compare the pipeline against, also selectable process-wide
+    via ``REPRO_PIPELINE=0``.
     """
 
     def __init__(
@@ -140,14 +136,10 @@ class ParallelizationDriver:
         program: Program,
         opts: Optional[AnalysisOptions] = None,
         cache: Optional[SummaryCache] = None,
-        jobs: Optional[int] = 1,
-        executor: Optional[str] = None,
     ) -> None:
         self.program = program
         self.opts = opts or AnalysisOptions.predicated()
         self.cache = cache
-        self.jobs = jobs
-        self.executor = executor
         self._degraded = False
 
     def run(self) -> ProgramResult:
@@ -155,13 +147,7 @@ class ParallelizationDriver:
 
         if not pipeline_enabled():
             return self.run_legacy()
-        ctx = run_pipeline(
-            self.program,
-            self.opts,
-            cache=self.cache,
-            jobs=self.jobs,
-            executor=self.executor,
-        )
+        ctx = run_pipeline(self.program, self.opts, cache=self.cache)
         self._degraded = ctx.degraded or bool(
             ctx.has("engine") and ctx.engine.tainted_units
         )
@@ -172,9 +158,7 @@ class ParallelizationDriver:
         """Did the last :meth:`run` degrade under a budget anywhere?
 
         Covers both granularities — budget-demoted loop decisions and
-        budget-demoted (tainted) unit summaries — including degradation
-        that happened inside process-executor workers, whose taint flags
-        travel back in the merged payloads.  The service layer reports
+        budget-demoted (tainted) unit summaries.  The service layer reports
         this per job; it is deterministic for a given cache state, unlike
         a delta over the process-global ``budget.*`` counters, which
         concurrent jobs would cross-contaminate.
@@ -603,10 +587,6 @@ def analyze_program(
     program: Program,
     opts: Optional[AnalysisOptions] = None,
     cache: Optional[SummaryCache] = None,
-    jobs: Optional[int] = 1,
-    executor: Optional[str] = None,
 ) -> ProgramResult:
     """One-call convenience wrapper."""
-    return ParallelizationDriver(
-        program, opts, cache=cache, jobs=jobs, executor=executor
-    ).run()
+    return ParallelizationDriver(program, opts, cache=cache).run()

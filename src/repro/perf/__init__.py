@@ -41,14 +41,12 @@ from repro.perf.counters import (
     set_memo_cap,
     set_packed_kernel,
     set_pred_oracle,
-    set_warm_fleet,
     snapshot,
     snapshot_delta,
     snapshot_max,
     total_ops,
     track_cache_object,
     tracked_cache,
-    warm_fleet_enabled,
 )
 
 __all__ = [
@@ -81,12 +79,10 @@ __all__ = [
     "set_memo_cap",
     "set_packed_kernel",
     "set_pred_oracle",
-    "set_warm_fleet",
     "snapshot",
     "snapshot_delta",
     "snapshot_max",
     "total_ops",
     "track_cache_object",
     "tracked_cache",
-    "warm_fleet_enabled",
 ]

@@ -63,15 +63,22 @@ class Memo:
         self.misses = 0
 
     def trim(self) -> int:
-        """Drop oldest entries down to ``cap``; returns entries dropped."""
-        cap = self.cap
-        if cap is None or len(self.data) <= cap:
-            return 0
-        data = self.data
-        drop = len(data) - cap
-        for key in list(islice(iter(data), drop)):
-            del data[key]
-        return drop
+        """Drop oldest entries down to ``cap``; returns entries dropped.
+
+        Serialized by one lock: the service runs :func:`enforce_memo_caps`
+        at every job end, so several fleet threads may trim one table at
+        once, and each would pick the same victim keys.
+        """
+        with _trim_lock:
+            cap = self.cap
+            if cap is None or len(self.data) <= cap:
+                return 0
+            data = self.data
+            dropped = 0
+            for key in list(islice(iter(data), len(data) - cap)):
+                if data.pop(key, MISS) is not MISS:
+                    dropped += 1
+            return dropped
 
     def stats(self) -> Dict[str, float]:
         total = self.hits + self.misses
@@ -84,6 +91,8 @@ class Memo:
 
 
 _memos: Dict[str, Memo] = {}
+#: serializes :meth:`Memo.trim` across threads (see there)
+_trim_lock = threading.Lock()
 #: external caches (e.g. ``functools.lru_cache``) as (stats_fn, clear_fn)
 _external: Dict[str, Tuple[Callable[[], Dict], Callable[[], None]]] = {}
 #: callbacks run after a reset (re-seed interned module singletons)
@@ -124,8 +133,8 @@ _foreign: Dict[str, Dict[str, float]] = {}
 #: per-thread stack of analysis-context labels ("unit:Ln" /
 #: "unit:<proc>"); the top entry attributes substrate events (FM
 #: fallback drops, budget trips) to the procedure/loop being analyzed.
-#: Thread-local so the pipeline's intra-program worker threads cannot
-#: pop each other's labels.
+#: Thread-local so batch and service worker threads cannot pop each
+#: other's labels.
 _context_local = threading.local()
 
 
@@ -223,16 +232,15 @@ def reset_all_caches() -> None:
 # the fleet epoch
 # ----------------------------------------------------------------------
 # One monotonic integer versions every process-wide cache in the
-# substrate: memo/intern tables, the predicate-oracle tiers, the
-# worker-side analysis engines.  Anything that can change what those
-# caches would hold — a semantic-knob flip, a cache reset — bumps it;
-# pool workers compare the epoch shipped with each task against the one
-# their warm state was built under and drop everything on a mismatch.
-# That is the entire invalidation story for the warm fleet: state is
-# valid exactly as long as the epoch it was built under is current.
-# (Budgets need no bump: they ship per task, degraded results are never
-# cached, and a degraded worker engine is evicted — pinned by
-# tests/pipeline/test_warm_fleet.py.)
+# substrate: memo/intern tables and the predicate-oracle tiers.
+# Anything that can change what those caches would hold — a
+# semantic-knob flip, a cache reset — bumps it; batch pool workers
+# compare the epoch shipped with each chunk against the one their warm
+# state was built under and drop everything on a mismatch.  That is the
+# entire invalidation story for the warm fleet: state is valid exactly
+# as long as the epoch it was built under is current.  (Budgets need no
+# bump: they ship per chunk and degraded results are never cached —
+# pinned by tests/pipeline/test_warm_fleet.py.)
 
 _epoch = 0
 
@@ -383,40 +391,6 @@ def set_dep_screen(enabled: Optional[bool]) -> None:
     if _dep_screen != enabled:
         bump_epoch()
     _dep_screen = enabled
-
-
-# ----------------------------------------------------------------------
-# warm-fleet switch
-# ----------------------------------------------------------------------
-# The warm fleet (docs/EXECUTION.md §7) lets pool workers keep the
-# interned substrate, the pred.oracle.* / fm.* / region-algebra memo
-# tables and content-keyed analysis engines alive *across runs* within
-# one fleet epoch, instead of rebuilding per (worker, run).  It is a
-# pure cost optimization: warm or cold, every decision row is byte-
-# identical — the epoch above invalidates everything a knob change
-# could have affected, and degraded state is never retained.  Controlled
-# by the REPRO_WARM_FLEET environment variable ("0"/"off"/"false"/"no"
-# restore the per-run-nonce engine keys of the cold fleet) or
-# programmatically via set_warm_fleet().
-
-_warm_fleet: Optional[bool] = None
-
-
-def warm_fleet_enabled() -> bool:
-    """May pool workers reuse substrate and engines across runs?"""
-    global _warm_fleet
-    if _warm_fleet is None:
-        raw = os.environ.get("REPRO_WARM_FLEET", "1").strip().lower()
-        _warm_fleet = raw not in ("0", "off", "false", "no")
-    return _warm_fleet
-
-
-def set_warm_fleet(enabled: Optional[bool]) -> None:
-    """Force the warm fleet on/off; ``None`` re-reads the environment."""
-    global _warm_fleet
-    if _warm_fleet != enabled:
-        bump_epoch()
-    _warm_fleet = enabled
 
 
 def bump(name: str, n: int = 1) -> None:

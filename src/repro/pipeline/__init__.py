@@ -3,10 +3,11 @@
 One explicit compile flow replaces the legacy monolithic driver:
 :func:`run_pipeline` builds a
 :class:`~repro.pipeline.context.ProgramContext`, schedules the passes of
-:func:`~repro.pipeline.passes.analysis_passes` under a
-:class:`~repro.pipeline.manager.PassManager`, and returns the context —
-with ``jobs > 1`` running independent callgraph subtrees concurrently,
-byte-identical to the serial (and legacy) results.
+:func:`~repro.pipeline.passes.analysis_passes` serially under a
+:class:`~repro.pipeline.manager.PassManager`, and returns the context.
+:func:`run_pipeline_batch` is the only fan-out: whole programs across
+worker threads or the shared process pool, byte-identical to a serial
+loop.
 
 The pipeline is the default.  ``REPRO_PIPELINE=0`` (or
 :func:`set_pipeline`) routes the public entry points back through the
@@ -32,12 +33,7 @@ from repro.pipeline.base import (
     Pass,
 )
 from repro.pipeline.context import MissingArtifact, ProgramContext
-from repro.pipeline.executor import (
-    EXECUTORS,
-    executor_kind,
-    resolve_jobs,
-    set_executor,
-)
+from repro.pipeline.executor import EXECUTORS, executor_kind, resolve_jobs
 from repro.pipeline.manager import PassManager, PipelineWiringError
 from repro.pipeline.passes import (
     DecidePass,
@@ -75,7 +71,6 @@ __all__ = [
     "resolve_jobs",
     "run_pipeline",
     "run_pipeline_batch",
-    "set_executor",
     "set_pipeline",
 ]
 
@@ -113,10 +108,8 @@ def run_pipeline(
     program,
     opts: Optional[AnalysisOptions] = None,
     cache=None,
-    jobs: Optional[int] = 1,
     goals: Sequence[str] = ("result",),
     explain: bool = False,
-    executor: Optional[str] = None,
 ) -> ProgramContext:
     """Run the compile flow for *program* up to *goals*.
 
@@ -126,11 +119,6 @@ def run_pipeline(
     unchanged program loads its whole result in one rebind, scheduling
     nothing upstream; a fresh, undegraded run stores the program payload
     back, exactly as the legacy driver did.
-
-    *jobs* ``None`` defers to ``REPRO_JOBS`` (default 1); *executor*
-    ``None`` defers to ``REPRO_EXECUTOR`` (default ``"thread"``).  Every
-    combination produces byte-identical artifacts — the executor only
-    changes *where* unit tasks run (see ``docs/EXECUTION.md``).
     """
     from repro.partests.driver import ParallelizationDriver, _decision_rows
     from repro.service.cache import program_key
@@ -156,7 +144,7 @@ def run_pipeline(
 
     manager = PassManager(analysis_passes())
     fresh_result = not ctx.has("result")
-    manager.run(ctx, jobs=jobs, goals=goals, explain=explain, executor=executor)
+    manager.run(ctx, goals=goals, explain=explain)
 
     if ctx.has("result"):
         result = ctx.get("result")
@@ -215,10 +203,9 @@ def run_pipeline_batch(
     :class:`~repro.partests.driver.ProgramResult` objects **in input
     order**.
 
-    Distinct programs share no artifacts, so they are the coarsest
-    independent "subtrees" the executor can schedule — this is where the
-    process executor pays off even for single-procedure programs, whose
-    intra-program task graph has nothing to overlap.  Under
+    Distinct programs share no artifacts, so a whole program is the
+    unit of fan-out: the least data crosses the boundary, and even
+    single-procedure programs spread over the pool.  Under
     ``executor="process"`` the batch is coalesced into *chunks* of
     consecutive programs (*chunk* per pool task; ``REPRO_BATCH_CHUNK``
     or an auto size otherwise — see :func:`resolve_batch_chunk`), so a
@@ -233,9 +220,8 @@ def run_pipeline_batch(
     rebound as-is — conservative and, as always, never written to any
     cache.
 
-    The thread executor (and ``jobs=1``) analyzes locally; thread
-    workers only overlap cache/IO waits, exactly like ``--jobs`` inside
-    one program.
+    The thread executor (the default, ``executor=None``) and ``jobs=1``
+    analyze locally; thread workers only overlap cache/IO waits.
     """
     from repro.partests.driver import ParallelizationDriver
 
@@ -245,9 +231,7 @@ def run_pipeline_batch(
     programs = list(programs)
 
     def local(program):
-        return run_pipeline(
-            program, opts, cache=cache, jobs=1, executor="thread"
-        ).get("result")
+        return run_pipeline(program, opts, cache=cache).get("result")
 
     if jobs <= 1 or len(programs) <= 1:
         return [local(p) for p in programs]

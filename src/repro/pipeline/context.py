@@ -3,18 +3,13 @@
 A :class:`ProgramContext` owns every artifact one compile flow produces:
 program-scoped artifacts under ``(name, None)`` and unit-scoped ones
 under ``(name, unit)``.  Passes communicate *only* through the store, so
-the :class:`~repro.pipeline.manager.PassManager` can schedule any two
-tasks whose declared artifact keys do not depend on each other — in
-particular, unit tasks over independent subtrees of the callgraph —
-concurrently.  Writes are lock-guarded and keys are written exactly once
-(per run), which makes the parallel merge deterministic: the final
-store contents are a pure function of the inputs, never of scheduling
-order.
+the :class:`~repro.pipeline.manager.PassManager` can check the declared
+wiring before anything runs.  Keys are written exactly once (per run),
+so the final store contents are a pure function of the inputs.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.arraydf.options import AnalysisOptions
@@ -47,10 +42,6 @@ class ProgramContext:
         self._store: Dict[Tuple[str, Optional[str]], Any] = {
             ("source_program", None): source_program
         }
-        #: raw shipped payloads from process-executor tasks, kept beside
-        #: the hydrated artifacts (see :meth:`stash_payload`)
-        self._payloads: Dict[Tuple[str, Optional[str]], Any] = {}
-        self._lock = threading.Lock()
         #: filled by ``PassManager.run(..., explain=True)``
         self.explain: Optional[dict] = None
 
@@ -64,8 +55,7 @@ class ProgramContext:
         (e.g. a shim preloading a cached result before the manager
         runs); passes themselves write each key once.
         """
-        with self._lock:
-            self._store[(artifact, unit)] = value
+        self._store[(artifact, unit)] = value
 
     def get(self, artifact: str, unit: Optional[str] = None) -> Any:
         try:
@@ -79,26 +69,6 @@ class ProgramContext:
     def get_all(self, artifact: str, units: Iterable[str]) -> Dict[str, Any]:
         """The artifact for every unit of *units* (program-scope reads)."""
         return {u: self.get(artifact, u) for u in units}
-
-    def stash_payload(
-        self, artifact: str, unit: Optional[str], payload: Any
-    ) -> None:
-        """Keep the raw (picklable) payload a worker shipped for
-        ``(artifact, unit)``.
-
-        When the parent merges a process-executor result it *hydrates*
-        the payload into interned values for the store (so local passes
-        read normal artifacts), but later remote tasks that declare the
-        artifact as an input can be fed the already-serialized payload
-        verbatim instead of re-projecting the hydrated value.
-        """
-        with self._lock:
-            self._payloads[(artifact, unit)] = payload
-
-    def payload(self, artifact: str, unit: Optional[str] = None) -> Any:
-        """The stashed shipped payload for ``(artifact, unit)``, or
-        ``None`` when the artifact was produced locally."""
-        return self._payloads.get((artifact, unit))
 
     def available_artifacts(self) -> Tuple[str, ...]:
         """The distinct artifact names currently present (for wiring

@@ -1,33 +1,14 @@
-"""Executor selection and the shared process pool.
+"""The shared process pool behind :func:`repro.pipeline.run_pipeline_batch`.
 
-The pass pipeline can run its unit-scope task graph on two executors:
+A batch fans whole programs out, never the units of one program: every
+pool task is a *chunk* of programs, and a worker runs each program's
+full pass pipeline serially (:func:`run_remote_chunk`).  The pool is
+persistent and fork-preferred.  Its workers keep the interned substrate
+and the memo tables warm across chunks within a fleet *epoch*
+(:func:`repro.perf.epoch`); a chunk from a newer epoch makes the worker
+drop all of that state first (:func:`_sync_epoch`).
 
-``thread`` (the default)
-    tasks run on a :class:`~concurrent.futures.ThreadPoolExecutor`
-    inside the parent process.  Cheap to start and shares every interned
-    object, but the GIL serializes the Python-level analysis work, so
-    ``--jobs N`` overlaps little beyond cache/IO waits.
-
-``process``
-    tasks run on a persistent, fork-preferred
-    :class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker
-    builds the hash-consed substrate for a program it has not seen
-    (``pipeline.executor.builds``) and — under the warm fleet
-    (``REPRO_WARM_FLEET``, the default) — keeps it, with the memo
-    tables, alive across runs within a fleet epoch
-    (``pipeline.executor.reuses``; epoch invalidation and taint
-    eviction force ``.rebuilds``).  It hydrates shipped callee results
-    back into interned values (``pipeline.executor.hydrations``), runs
-    the ``(pass, unit)`` task under the shipped remaining budget, and
-    returns a picklable payload the parent merges in deterministic parse
-    order — byte-identical to the thread and serial schedules.
-
-The choice is ``--executor {thread,process}`` on the CLI, the
-``REPRO_EXECUTOR`` environment variable, or :func:`set_executor`
-programmatically; ``REPRO_JOBS`` supplies a default job count where a
-caller passes ``jobs=None``.
-
-Observability: every worker result carries the worker's
+Observability: every chunk result carries the worker's
 :func:`repro.perf.snapshot`; the parent folds per-PID deltas into its
 own tables (:func:`absorb_worker`) so ``--profile`` reports substrate
 work done in the pool.  Captured Fourier–Motzkin fallback warnings ride
@@ -46,36 +27,20 @@ import atexit
 import os
 import pickle
 import time
-from dataclasses import dataclass
-from itertools import count
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 from repro import perf
 from repro.service.budgets import Budget, active_budget
 
 EXECUTORS = ("thread", "process")
 
-#: executor tasks shipped to pool workers (pipeline tasks and batch
-#: chunks both count here)
+#: batch chunks shipped to pool workers
 perf.declare("pipeline.executor.tasks")
-#: first-touch engine builds: a worker unpickled a program it had never
-#: seen and built a fresh ArrayDataflow engine
-perf.declare("pipeline.executor.builds")
-#: invalidation-forced rebuilds: a worker rebuilt an engine for a
-#: program it had already built once (epoch sync, taint eviction, or
-#: LRU pressure dropped the warm engine)
-perf.declare("pipeline.executor.rebuilds")
-#: warm-fleet engine reuses: a task was served by an engine a previous
-#: run of the same program/options left behind
-perf.declare("pipeline.executor.reuses")
-#: a worker dropped its warm state because a task arrived from a newer
+#: a worker dropped its warm state because a chunk arrived from a newer
 #: fleet epoch (knob change or cache reset in the parent)
 perf.declare("pipeline.executor.epoch_syncs")
-#: shipped payloads hydrated back into interned summaries inside a
-#: worker (the cache-hydration alternative to rebuilding from source)
-perf.declare("pipeline.executor.hydrations")
-#: process execution was requested but the region fell back to the
-#: thread path (non-distributable pass, or pool unavailable)
+#: a worker result failed to rebind parent-side and the program was
+#: re-analyzed locally
 perf.declare("pipeline.executor.fallback")
 #: whole programs fanned out by run_pipeline_batch
 perf.declare("pipeline.executor.batch_programs")
@@ -84,56 +49,20 @@ perf.declare("pipeline.executor.batch_programs")
 perf.declare("pipeline.executor.chunks")
 
 
-# ----------------------------------------------------------------------
-# executor / jobs selection
-# ----------------------------------------------------------------------
-# Same shape as the REPRO_PACKED_KERNEL-style switches in repro.perf:
-# environment-controlled with a programmatic override so tests can pin
-# both executors against each other in one process.
-
-_executor: Optional[str] = None
-
-
 def executor_kind(explicit: Optional[str] = None) -> str:
-    """The executor to use: *explicit* if given, else the environment."""
-    if explicit is not None:
-        if explicit not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {explicit!r} (expected one of {EXECUTORS})"
-            )
-        return explicit
-    global _executor
-    if _executor is None:
-        raw = os.environ.get("REPRO_EXECUTOR", "thread").strip().lower()
-        if raw not in EXECUTORS:
-            raise ValueError(
-                f"REPRO_EXECUTOR={raw!r} (expected one of {EXECUTORS})"
-            )
-        _executor = raw
-    return _executor
-
-
-def set_executor(kind: Optional[str]) -> None:
-    """Force the executor kind; ``None`` re-reads the environment."""
-    if kind is not None and kind not in EXECUTORS:
+    """The batch executor: *explicit* if given, else ``"thread"``."""
+    if explicit is None:
+        return "thread"
+    if explicit not in EXECUTORS:
         raise ValueError(
-            f"unknown executor {kind!r} (expected one of {EXECUTORS})"
+            f"unknown executor {explicit!r} (expected one of {EXECUTORS})"
         )
-    global _executor
-    _executor = kind
+    return explicit
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """An explicit job count, else ``REPRO_JOBS``, else 1."""
-    if jobs is not None:
-        return max(1, int(jobs))
-    raw = os.environ.get("REPRO_JOBS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(f"REPRO_JOBS={raw!r} is not an integer") from None
-    return 1
+    """An explicit job count clamped to at least 1; ``None`` means 1."""
+    return 1 if jobs is None else max(1, int(jobs))
 
 
 # ----------------------------------------------------------------------
@@ -152,6 +81,9 @@ _pool_absorbed: Dict[int, Dict] = {}
 #: the parent has already bumped per-task counters for the work it is
 #: submitting; a parent-side base would double count those bumps
 _worker_snap_base: Optional[Dict] = None
+#: the fleet epoch this worker's warm state (memo/intern tables) is
+#: current for; ``None`` only before the initializer ran
+_worker_epoch: Optional[int] = None
 
 
 def _worker_init() -> None:
@@ -159,10 +91,9 @@ def _worker_init() -> None:
 
     A forked worker inherits the parent's *active* budget (possibly
     already exhausted) — left in place it would trip inside the pool's
-    call-queue unpickling, before any task's ``budget_scope`` starts,
-    killing the worker.  Tasks carry their own shipped remaining budget
-    instead.  The engine memo is cleared for the same reason: worker
-    engines must be built (and counted) worker-side.
+    call-queue unpickling, before any chunk's ``budget_scope`` starts,
+    killing the worker.  Chunks carry their own shipped remaining budget
+    instead.
 
     The worker also disowns the parent's pool handle: a later
     worker-side ``perf.reset_all_caches()`` (epoch sync) runs the
@@ -176,7 +107,6 @@ def _worker_init() -> None:
     from repro.service import budgets
 
     budgets.clear_thread_budget()
-    _worker_engines.clear()
     _pool = None
     _pool_jobs = 0
     _pool_absorbed.clear()
@@ -224,7 +154,7 @@ def absorb_worker(pid: int, snap: Dict) -> None:
     Workers ship deltas from their own fork-time base (*snap* contains
     the worker's work only — see :func:`_ship_snapshot`).  Incremental
     per PID: only the delta beyond what this worker already shipped is
-    absorbed, so task results may be processed in any completion order
+    absorbed, so chunk results may be processed in any completion order
     without double counting.
     """
     prev = _pool_absorbed.get(pid) or {}
@@ -235,13 +165,13 @@ def absorb_worker(pid: int, snap: Dict) -> None:
 def remaining_budget() -> Optional[Budget]:
     """The active budget's *remaining* allowance, as a picklable Budget.
 
-    Taken at task-submit time and shipped with the task; the worker
-    activates it for the task's dynamic extent.  Each task therefore
+    Taken at chunk-submit time and shipped with the chunk; the worker
+    activates it for each program of the chunk.  Each program therefore
     charges its own ops/FM meters against the whole request's remaining
-    allowance at submit — the same global bound as the thread path, with
-    per-task (rather than shared-meter) accounting; exhaustion degrades
-    identically (conservative summaries, loops demoted to serial) and
-    degraded results are never cached or merged as clean.
+    allowance at submit — the same global bound as a local run, with
+    per-program (rather than shared-meter) accounting; exhaustion
+    degrades soundly (conservative summaries, loops demoted to serial)
+    and degraded results are never cached.
     """
     active = active_budget()
     if active is None:
@@ -260,126 +190,24 @@ def remaining_budget() -> Optional[Budget]:
 
 
 # ----------------------------------------------------------------------
-# task shipping
+# chunk shipping
 # ----------------------------------------------------------------------
 
-_run_nonce = count()
-
-
-@dataclass(frozen=True)
-class TaskHeader:
-    """Everything a worker needs to (re)build the substrate for one run.
-
-    Under the warm fleet (``REPRO_WARM_FLEET``, the default)
-    ``engine_key`` is a pure content hash of (program, options, cache
-    root): two runs of the same inputs share a worker-side engine, so a
-    fleet re-analyzing the same program pays the substrate build once
-    per worker per *epoch* instead of once per run.  What made the
-    per-run nonce necessary — mutable engine state leaking between runs
-    — is handled by construction instead: degraded (tainted) engines
-    are evicted after the task that degraded them, every other piece of
-    engine state is a pure function of the key's content, and ``epoch``
-    (the :func:`repro.perf.epoch` at submit) invalidates all warm state
-    when any semantic knob changes.  With the warm fleet off the key
-    keeps the per-run nonce, restoring the cold per-(worker, run)
-    behavior byte for byte.
-    """
-
-    engine_key: str
-    program_blob: bytes
-    opts: Any
-    cache_root: Optional[str]
-    epoch: int = 0
-
-
-def make_header(program, opts, cache) -> TaskHeader:
-    """Serialize *program* once for all of a run's tasks."""
-    import hashlib
-
-    blob = pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
-    root = str(cache.root) if cache is not None else None
-    h = hashlib.sha256(blob)
-    h.update(pickle.dumps(opts, protocol=pickle.HIGHEST_PROTOCOL))
-    h.update(repr(root).encode())
-    if perf.warm_fleet_enabled():
-        key = h.hexdigest()[:24]
-    else:
-        key = h.hexdigest()[:16] + f":{next(_run_nonce)}"
-    return TaskHeader(key, blob, opts, root, perf.epoch())
-
-
-#: worker-side engines keyed by TaskHeader.engine_key (bounded: a
-#: long-lived worker serving many runs drops the oldest engine)
-_worker_engines: Dict[str, Any] = {}
-_WORKER_ENGINE_MAX = 4
-#: content keys this worker has built an engine for at least once —
-#: distinguishes first-touch builds from invalidation-forced rebuilds.
-#: A plain set of short digests (bounded below), deliberately *not*
-#: cleared on epoch sync: post-sync rebuilds are exactly the rebuilds
-#: the counter split exists to expose.
-_worker_built_keys: set = set()
-_WORKER_BUILT_KEYS_MAX = 65536
-#: the fleet epoch this worker's warm state (engines, memo/intern
-#: tables) is current for; ``None`` only before the initializer ran
-_worker_epoch: Optional[int] = None
-
-
 def _sync_epoch(epoch: int) -> None:
-    """Drop all warm state when a task arrives from a newer fleet epoch.
+    """Drop all warm state when a chunk arrives from a newer fleet epoch.
 
     The parent bumps :func:`repro.perf.epoch` on every semantic knob
-    change and cache reset; shipping the epoch with each task (header or
-    chunk) lets a long-lived worker notice and invalidate *everything* —
-    cached engines and the full memo/intern substrate — before touching
-    the task.  Within one epoch nothing is ever invalidated, which is
-    the whole warm-fleet bargain.
+    change and cache reset; shipping the epoch with each chunk lets a
+    long-lived worker notice and invalidate the full memo/intern
+    substrate before touching the chunk.  Within one epoch nothing is
+    ever invalidated, which is the whole warm-fleet bargain.
     """
     global _worker_epoch
     if _worker_epoch == epoch:
         return
-    _worker_engines.clear()
     perf.reset_all_caches()
     _worker_epoch = epoch
     perf.bump("pipeline.executor.epoch_syncs")
-
-
-def _evict_engine_if_tainted(engine_key: str, engine) -> None:
-    """Never let a degraded engine survive into another run.
-
-    A budget-tripped task leaves conservative (tainted) summaries in the
-    engine's mutable state; under content keys a later run with a looser
-    budget would find them in ``engine.units`` and skip recomputation —
-    serving degraded rows as clean.  Evicting on taint keeps the
-    byte-identity contract: degraded state is never cached, anywhere.
-    """
-    if engine.tainted_units and _worker_engines.get(engine_key) is engine:
-        del _worker_engines[engine_key]
-
-
-def _worker_engine(header: TaskHeader):
-    engine = _worker_engines.get(header.engine_key)
-    if engine is not None and not engine.tainted_units:
-        perf.bump("pipeline.executor.reuses")
-        return engine
-    from repro.arraydf.analysis import ArrayDataflow
-    from repro.service.cache import SummaryCache
-
-    if header.engine_key in _worker_built_keys:
-        perf.bump("pipeline.executor.rebuilds")
-    else:
-        perf.bump("pipeline.executor.builds")
-        if len(_worker_built_keys) >= _WORKER_BUILT_KEYS_MAX:
-            _worker_built_keys.clear()
-        _worker_built_keys.add(header.engine_key)
-    program = pickle.loads(header.program_blob)
-    cache = (
-        SummaryCache(header.cache_root) if header.cache_root else None
-    )
-    engine = ArrayDataflow(program, header.opts, cache=cache, propagated=True)
-    while len(_worker_engines) >= _WORKER_ENGINE_MAX:
-        _worker_engines.pop(next(iter(_worker_engines)))
-    _worker_engines[header.engine_key] = engine
-    return engine
 
 
 def _ship_snapshot() -> Dict:
@@ -392,19 +220,6 @@ def _ship_snapshot() -> Dict:
     under-report across a sync; counters are never reset and stay exact.)
     """
     return perf.snapshot_delta(perf.snapshot(), _worker_snap_base or {})
-
-
-def dump_task(task: Dict) -> bytes:
-    """Parent-side pickling of a task payload, budget-suspended.
-
-    Symmetric to :func:`load_result`: the bytes cross the pool's queue
-    threads as an opaque blob, so no interning (and no budget
-    checkpoint) can run outside the task's own ``budget_scope``.
-    """
-    from repro.service.budgets import suspended
-
-    with suspended():
-        return pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def load_result(blob: bytes) -> Dict:
@@ -422,36 +237,6 @@ def load_result(blob: bytes) -> Dict:
 
     with suspended():
         return pickle.loads(blob)
-
-
-def run_remote_task(
-    header: TaskHeader, budget: Optional[Budget], p, unit: str, task_blob: bytes
-) -> bytes:
-    """Worker-side entry point for one distributed ``(pass, unit)`` task."""
-    from repro.linalg.fourier_motzkin import capture_fallback_warnings
-    from repro.service.budgets import budget_scope, suspended
-
-    start = time.perf_counter()
-    _sync_epoch(header.epoch)
-    engine = _worker_engine(header)
-    with suspended():
-        task = pickle.loads(task_blob)
-    with capture_fallback_warnings() as fm_warnings:
-        with budget_scope(budget):
-            with perf.phase(f"pass.{p.name}"):
-                payload = p.run_remote(engine, unit, task)
-    _evict_engine_if_tainted(header.engine_key, engine)
-    perf.enforce_memo_caps()
-    return pickle.dumps(
-        {
-            "pid": os.getpid(),
-            "payload": payload,
-            "seconds": time.perf_counter() - start,
-            "warnings": fm_warnings,
-            "snapshot": _ship_snapshot(),
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
 
 
 def run_remote_chunk(
@@ -489,7 +274,7 @@ def run_remote_chunk(
         for program in programs:
             start = time.perf_counter()
             with budget_scope(budget):
-                ctx = run_pipeline(program, opts, cache=cache, jobs=1)
+                ctx = run_pipeline(program, opts, cache=cache)
             result = ctx.get("result")
             outs.append(
                 {

@@ -161,10 +161,10 @@ class _ActiveBudget:
 #: The worker fleet (:mod:`repro.service.workers`) runs several jobs
 #: concurrently on threads, each under its own budget; a process-global
 #: slot would let one job's budget meter another job's work.  Threads
-#: *inside* one request (the pipeline's ``--jobs`` thread regions) share
-#: the request's single :class:`_ActiveBudget` via :func:`adopt_scope`,
-#: so charges still accumulate request-wide exactly as before.  Worker
-#: *processes* activate their own scope from the shipped request payload.
+#: *inside* one request (a thread batch's workers) share the request's
+#: single :class:`_ActiveBudget` via :func:`adopt_scope`, so charges
+#: still accumulate request-wide.  Worker *processes* activate their
+#: own scope from the shipped remaining budget.
 _tls = threading.local()
 
 
@@ -177,7 +177,7 @@ def clear_thread_budget() -> None:
     """Drop any budget inherited by this thread (forked pool workers).
 
     A forked worker process begins life as a copy of the submitting
-    thread — including that thread's active budget.  Tasks carry their
+    thread — including that thread's active budget.  Chunks carry their
     own shipped remaining budget, so the inherited scope must go before
     the worker starts serving.
     """
@@ -209,12 +209,12 @@ def budget_scope(budget: Optional[Budget]) -> Iterator[Optional[_ActiveBudget]]:
 def adopt_scope(scope: Optional[_ActiveBudget]) -> Iterator[None]:
     """Activate an *existing* budget scope in the calling thread.
 
-    The pipeline's thread executor captures :func:`active_budget` when a
-    region is scheduled and adopts it inside each worker thread, so every
-    task of one request charges the **same** book-keeping object — the
-    request-wide wall/ops/FM totals behave exactly as they did when the
-    slot was process-global.  ``None`` adopts nothing (no budget in the
-    scheduling thread).
+    A thread batch (:func:`repro.pipeline.run_pipeline_batch`) captures
+    :func:`active_budget` in the calling thread and adopts it inside each
+    worker thread, so every program of one request charges the **same**
+    book-keeping object — the request-wide wall/ops/FM totals behave
+    exactly as a serial loop's.  ``None`` adopts nothing (no budget in
+    the calling thread).
     """
     if scope is None:
         yield

@@ -126,7 +126,7 @@ class SummaryCache:
     content key with no callee components — the screen never looks
     across calls, and being pure syntax it is stored even on
     budget-degraded runs.  Writes are atomic (temp file + ``os.replace``), so
-    concurrent analyzers — the ``--jobs`` pool, several ``serve``
+    concurrent analyzers — a batch pool, several ``serve``
     workers, or independent processes — may share a directory safely:
     at worst two processes compute the same entry and the last write
     wins with identical content.

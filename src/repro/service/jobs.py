@@ -82,19 +82,12 @@ def _experiment_module(which: str):
 # ----------------------------------------------------------------------
 # analyze
 # ----------------------------------------------------------------------
-def run_analyze(
-    body: Dict,
-    jobs: Optional[int] = 1,
-    executor: Optional[str] = None,
-) -> Tuple[Dict, Dict]:
+def run_analyze(body: Dict) -> Tuple[Dict, Dict]:
     """Run one analysis request; returns ``(response, extras)``.
 
     The response dict is the pinned JSON-lines wire format (see
     :mod:`repro.service.server`); *extras* carries what the receipt
     needs beyond the response (parsed program, options, budget, trips).
-    *jobs*/*executor* configure the pass pipeline underneath — output is
-    byte-identical for every combination, so the fleet can fan units
-    out over worker processes without changing any answer.
     """
     rid = body.get("id")
     extras: Dict = {
@@ -125,13 +118,7 @@ def run_analyze(
 
         program = parse_program(source)
         extras["program"] = program
-        driver = ParallelizationDriver(
-            program,
-            opts,
-            cache=default_cache(),
-            jobs=jobs,
-            executor=executor,
-        )
+        driver = ParallelizationDriver(program, opts, cache=default_cache())
         with budget_scope(budget) as scope:
             result = driver.run()
         if scope is not None:
@@ -210,17 +197,10 @@ def run_experiment(body: Dict) -> Tuple[Dict, Dict]:
 # ----------------------------------------------------------------------
 # the one entry point
 # ----------------------------------------------------------------------
-def execute_job(
-    job,
-    worker: str = "",
-    jobs: Optional[int] = 1,
-    executor: Optional[str] = None,
-) -> Tuple[Dict, Dict]:
+def execute_job(job, worker: str = "") -> Tuple[Dict, Dict]:
     """Execute one queued :class:`~repro.service.queue.Job`.
 
-    Returns ``(response, receipt)`` and never raises.  *jobs* and
-    *executor* are the fleet's pipeline configuration (how much
-    intra-job fan-out each worker may use), not part of the request.
+    Returns ``(response, receipt)`` and never raises.
     """
     started = time.perf_counter()
     base = perf.snapshot()
@@ -230,7 +210,7 @@ def execute_job(
         inputs = receipts.experiment_inputs(extras.get("which"))
     else:
         perf.bump("job.analyze")
-        resp, extras = run_analyze(job.body, jobs=jobs, executor=executor)
+        resp, extras = run_analyze(job.body)
         program, opts = extras.get("program"), extras.get("opts")
         if program is not None and opts is not None:
             inputs = receipts.analyze_inputs(program, opts)
@@ -277,7 +257,7 @@ def execute_job(
         priority=job.priority,
         inputs=inputs,
         knobs=receipts.knobs_in_effect(
-            extras.get("options_name"), extras.get("opts"), executor, jobs or 1
+            extras.get("options_name"), extras.get("opts")
         ),
         budget_granted=granted,
         degraded=degraded,

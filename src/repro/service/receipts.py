@@ -25,7 +25,7 @@ Stable sections::
                  recomputable from the receipt alone
     knobs        analysis options + fingerprint, every feature switch
                  (oracle / packed kernel / bytecode / screen), pipeline
-                 on/off, executor and job count, cache attached?
+                 on/off, cache attached?
     budgets      the limits *granted* (consumption is volatile → timings)
     degradation  the degraded flag and per-kind budget-trip counts
     result       terminal state and a deterministic result summary
@@ -127,15 +127,10 @@ def empty_inputs() -> Dict:
 # ----------------------------------------------------------------------
 # knobs
 # ----------------------------------------------------------------------
-def knobs_in_effect(
-    options_name: Optional[str],
-    opts,
-    executor: Optional[str],
-    jobs: int,
-) -> Dict:
+def knobs_in_effect(options_name: Optional[str], opts) -> Dict:
     """Every switch that shaped this job's answer or its cost."""
     from repro import perf
-    from repro.pipeline import executor_kind, pipeline_enabled
+    from repro.pipeline import pipeline_enabled
     from repro.service.cache import default_cache, options_fingerprint
 
     return {
@@ -148,8 +143,6 @@ def knobs_in_effect(
         "bytecode": perf.bytecode_enabled(),
         "dep_screen": perf.dep_screen_enabled(),
         "pipeline": pipeline_enabled(),
-        "executor": executor_kind(executor),
-        "jobs": int(jobs),
         "cache": default_cache() is not None,
     }
 
@@ -245,8 +238,6 @@ def validate_receipt(receipt: Dict) -> List[str]:
                   "pipeline", "cache"):
         if not isinstance(knobs.get(field), bool):
             problems.append(f"knobs.{field} missing or not a boolean")
-    if not isinstance(knobs.get("jobs"), int):
-        problems.append("knobs.jobs missing or not an integer")
 
     if "granted" not in receipt["budgets"]:
         problems.append("budgets.granted missing")

@@ -5,8 +5,9 @@ the same data-dependence order, so
 
 * the formatted experiment outputs (the paper's tables) must match the
   legacy monolithic driver byte for byte, and
-* a parallel schedule (``jobs > 1``) must match the serial one byte for
-  byte — wall-clock timing lines excluded, everything else pinned.
+* a batch fanned over worker threads or the process pool must match
+  the serial pipeline byte for byte — wall-clock timing lines excluded,
+  everything else pinned.
 
 Budget exhaustion inside any pass must keep the legacy sound-degradation
 semantics: decisions only ever demote to serial and nothing degraded is
@@ -20,7 +21,6 @@ from repro import perf
 from repro.arraydf.options import AnalysisOptions
 from repro.codegen.report import format_report
 from repro.experiments import fig1_examples, table2_programs
-from repro.lang.prettyprint import pretty
 from repro.pipeline import run_pipeline, run_pipeline_batch, set_pipeline
 from repro.service import Budget, budget_scope
 from repro.service.cache import SummaryCache
@@ -51,66 +51,56 @@ class TestPipelineVsLegacy:
         assert with_pipeline[1] == legacy[1]  # Figure 1 examples
 
 
-class TestParallelVsSerial:
-    def _outputs(self, program, jobs):
-        ctx = run_pipeline(
-            program,
-            AnalysisOptions.predicated(),
-            jobs=jobs,
-            goals=("result", "transformed"),
-        )
-        report = _TIMING.sub(
-            "analysis: - ms", format_report(ctx.get("result"), title="t")
-        )
-        return report, pretty(ctx.get("transformed"))
-
-    def test_every_suite_program_identical_any_job_count(self):
-        for bench in all_programs():
-            serial = self._outputs(bench.fresh_program(), jobs=1)
-            parallel = self._outputs(bench.fresh_program(), jobs=4)
-            assert serial == parallel, bench.name
+def _serial_report(program):
+    ctx = run_pipeline(program, AnalysisOptions.predicated())
+    return _report(ctx.get("result"))
 
 
-class TestProcessExecutorIdentity:
-    """``--executor process`` is invisible in every artifact.
+def _report(result):
+    return _TIMING.sub("analysis: - ms", format_report(result, title="t"))
 
-    Workers rebuild the substrate per process and ship payloads back as
-    pickled projections; the parent rebinds them in deterministic parse
-    order, so the report and the transformed source must match the
-    serial schedule byte for byte — for every suite program and any job
-    count.
-    """
 
-    def _outputs(self, program, jobs, executor="thread"):
-        ctx = run_pipeline(
-            program,
+def _batch_reports(benches, jobs, executor):
+    return [
+        _report(r)
+        for r in run_pipeline_batch(
+            [b.fresh_program() for b in benches],
             AnalysisOptions.predicated(),
             jobs=jobs,
             executor=executor,
-            goals=("result", "transformed"),
         )
-        report = _TIMING.sub(
-            "analysis: - ms", format_report(ctx.get("result"), title="t")
-        )
-        return report, pretty(ctx.get("transformed"))
+    ]
+
+
+class TestParallelVsSerial:
+    def test_every_suite_program_identical_any_job_count(self):
+        """Worker threads share the process-wide memo tables: a thread
+        batch over the whole suite must still report what a serial
+        pipeline run reports, program for program."""
+        benches = all_programs()
+        serial = [_serial_report(b.fresh_program()) for b in benches]
+        assert _batch_reports(benches, 4, "thread") == serial
+
+
+class TestProcessExecutorIdentity:
+    """``executor="process"`` batches are invisible in every report.
+
+    Workers run each program's pipeline serially on their own warm
+    substrate and ship decision rows back; the parent rebinds them onto
+    its own parses in input order, so every report must match the
+    serial pipeline byte for byte.
+    """
 
     def test_every_suite_program_identical_under_process_pool(self):
-        for bench in all_programs():
-            serial = self._outputs(bench.fresh_program(), jobs=1)
-            pooled = self._outputs(
-                bench.fresh_program(), jobs=2, executor="process"
-            )
-            assert serial == pooled, bench.name
+        benches = all_programs()
+        serial = [_serial_report(b.fresh_program()) for b in benches]
+        assert _batch_reports(benches, 2, "process") == serial
 
     def test_multi_unit_programs_identical_at_any_job_count(self):
-        for name in ("applu", "turb3d"):
-            bench = get_program(name)
-            serial = self._outputs(bench.fresh_program(), jobs=1)
-            for jobs in (2, 4):
-                pooled = self._outputs(
-                    bench.fresh_program(), jobs=jobs, executor="process"
-                )
-                assert serial == pooled, (name, jobs)
+        benches = [get_program(name) for name in ("applu", "turb3d")]
+        serial = [_serial_report(b.fresh_program()) for b in benches]
+        for jobs in (2, 4):
+            assert _batch_reports(benches, jobs, "process") == serial, jobs
 
     def test_batch_matches_serial_loop_for_both_executors(self):
         benches = all_programs()[:8]
@@ -140,15 +130,12 @@ class TestBudgetDegradationThroughPipeline:
     def _statuses(self, result):
         return {l.label: l.status for l in result.loops}
 
-    def _run(self, program, budget=None, cache=None, jobs=1):
+    def _run(self, program, budget=None, cache=None):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with budget_scope(budget):
                 ctx = run_pipeline(
-                    program,
-                    AnalysisOptions.predicated(),
-                    cache=cache,
-                    jobs=jobs,
+                    program, AnalysisOptions.predicated(), cache=cache
                 )
         return ctx
 
@@ -158,9 +145,7 @@ class TestBudgetDegradationThroughPipeline:
         before = perf.counter("budget.degraded_unit") + perf.counter(
             "budget.degraded_loop"
         )
-        ctx = self._run(
-            bench.fresh_program(), Budget(max_fm_constraints=1), jobs=2
-        )
+        ctx = self._run(bench.fresh_program(), Budget(max_fm_constraints=1))
         tripped = (
             perf.counter("budget.degraded_unit")
             + perf.counter("budget.degraded_loop")
@@ -185,7 +170,6 @@ class TestBudgetDegradationThroughPipeline:
             bench.fresh_program(),
             Budget(max_fm_constraints=1),
             cache=cache,
-            jobs=2,
         )
         # the budget-independent screen rows may be stored; the degraded
         # analysis artifacts (summaries, decisions) must not be

@@ -148,3 +148,49 @@ class TestResetAllCaches:
         perf.reset_all_caches()
         cold = [subtract_region(a, b) for a, b in pairs]
         assert warm == cold
+
+
+class TestMemoTrim:
+    def test_trim_drops_oldest_entries_down_to_cap(self):
+        memo = perf.Memo("trim-basic", cap=2)
+        for i in range(5):
+            memo.data[i] = i
+        assert memo.trim() == 3
+        assert list(memo.data) == [3, 4]
+        assert memo.trim() == 0
+
+    def test_concurrent_trims_of_one_table_never_raise(self):
+        """Fleet threads all trim at job end; two trimming one table
+        pick the same victim keys, and the second delete used to raise
+        ``KeyError``."""
+        import sys
+        import threading
+
+        errors = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(5):
+                memo = perf.Memo(f"trim-race-{trial}", cap=10)
+                memo.data.update((i, i) for i in range(50_000))
+                dropped = []
+                start = threading.Barrier(4, timeout=10)
+
+                def trim():
+                    start.wait()
+                    try:
+                        dropped.append(memo.trim())
+                    except Exception as exc:  # pragma: no cover - the bug
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=trim) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                assert len(memo.data) == 10
+                assert sum(dropped) == 50_000 - 10
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []

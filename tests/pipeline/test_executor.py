@@ -1,8 +1,8 @@
-"""The executor layer: kind/jobs selection, process pool, invisibility.
+"""The batch executor layer: kind/jobs selection, warnings, invisibility.
 
-The process executor must be *invisible*: for any suite program,
-executor kind and job count may change where tasks run but never what
-they produce — including how budget exhaustion degrades the answer.
+The batch executor must be *invisible*: for any suite program, executor
+kind and job count may change where programs run but never what they
+produce — including how budget exhaustion degrades the answer.
 """
 
 import hashlib
@@ -19,17 +19,10 @@ from repro.linalg.fourier_motzkin import (
     capture_fallback_warnings,
     replay_fallback_warnings,
 )
-from repro.pipeline import run_pipeline
+from repro.pipeline import run_pipeline_batch
 from repro.pipeline import executor as pexec
-from repro.pipeline.passes import SummarizePass
 from repro.service.budgets import Budget, budget_scope
 from repro.suites import all_programs
-
-
-@pytest.fixture(autouse=True)
-def _restore_executor():
-    yield
-    pexec.set_executor(None)
 
 
 class TestSelection:
@@ -42,73 +35,17 @@ class TestSelection:
             pexec.executor_kind("gpu")
 
     def test_environment_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        pexec.set_executor(None)
-        assert pexec.executor_kind() == "thread"
+        # no environment selects the executor any more: None is "thread"
         monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        pexec.set_executor(None)
-        assert pexec.executor_kind() == "process"
-
-    def test_invalid_environment_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "fiber")
-        pexec.set_executor(None)
-        with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
-            pexec.executor_kind()
-
-    def test_set_executor_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-        pexec.set_executor("process")
-        assert pexec.executor_kind() == "process"
-
-    def test_set_executor_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            pexec.set_executor("gpu")
+        assert pexec.executor_kind() == "thread"
+        assert pexec.executor_kind(None) == "thread"
 
     def test_resolve_jobs(self, monkeypatch):
         assert pexec.resolve_jobs(3) == 3
         assert pexec.resolve_jobs(0) == 1  # clamped
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert pexec.resolve_jobs(None) == 1
+        # no environment supplies a default job count any more
         monkeypatch.setenv("REPRO_JOBS", "4")
-        assert pexec.resolve_jobs(None) == 4
-        monkeypatch.setenv("REPRO_JOBS", "four")
-        with pytest.raises(ValueError, match="REPRO_JOBS"):
-            pexec.resolve_jobs(None)
-
-
-SRC = """
-program main
-  integer n
-  real a(100)
-  read n
-  call work(a, n)
-end
-subroutine work(x, m)
-  integer m
-  real x(100)
-  do i = 1, m
-    x(i) = 0.0
-  enddo
-end
-"""
-
-
-class TestFallback:
-    def test_non_distributable_region_falls_back_to_threads(
-        self, monkeypatch
-    ):
-        """A unit-scope region containing any non-distributable pass
-        runs on the thread path and counts the fallback."""
-        monkeypatch.setattr(SummarizePass, "distributable", False)
-        before = perf.counter("pipeline.executor.fallback")
-        ctx = run_pipeline(
-            parse_program(SRC),
-            AnalysisOptions.predicated(),
-            jobs=2,
-            executor="process",
-        )
-        assert perf.counter("pipeline.executor.fallback") > before
-        assert [l.label for l in ctx.get("result").loops] == ["work:L1"]
+        assert pexec.resolve_jobs(None) == 1
 
 
 class TestWarningPlumbing:
@@ -143,7 +80,8 @@ class TestWarningPlumbing:
 
 
 class TestExecutorInvisibility:
-    """Seeded property sweep: executor choice changes nothing visible."""
+    """Seeded property sweep: batch executor choice changes nothing
+    visible."""
 
     COMBOS = [
         ("thread", 1),
@@ -156,23 +94,27 @@ class TestExecutorInvisibility:
 
     def _result_hash(self, bench, executor, jobs, budget=None):
         """A hash over everything ``--profile`` makes visible about the
-        result: per-loop decisions plus the degradation flag."""
+        results of a two-program batch: per-loop decisions plus the
+        degradation flag."""
         perf.reset_all_caches()  # identical memo warmth for every combo
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with budget_scope(budget):
-                ctx = run_pipeline(
-                    bench.fresh_program(),
+                results = run_pipeline_batch(
+                    [bench.fresh_program(), bench.fresh_program()],
                     AnalysisOptions.predicated(),
                     jobs=jobs,
                     executor=executor,
+                    chunk=1,
                 )
         rows = [
-            (l.label, l.status, str(l.condition), l.enclosed, l.runtime_test)
-            for l in ctx.get("result").loops
+            [
+                (l.label, l.status, str(l.condition), l.enclosed, l.runtime_test)
+                for l in r.loops
+            ]
+            for r in results
         ]
-        blob = repr((rows, ctx.degraded)).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return hashlib.sha256(repr(rows).encode()).hexdigest()
 
     def test_unbudgeted_results_identical_across_combos(self):
         rng = random.Random(20260808)
@@ -185,7 +127,7 @@ class TestExecutorInvisibility:
 
     def test_budget_degradation_identical_across_combos(self):
         """Exhaustion under a tight op budget degrades the same loops
-        to the same statuses no matter where the tasks ran."""
+        to the same statuses no matter where the programs ran."""
         for bench in (all_programs()[0], all_programs()[3]):
             hashes = {}
             for executor, jobs in self.COMBOS:

@@ -1,10 +1,7 @@
-"""PassManager scheduling: wiring, pruning, dependence order, parallelism."""
-
-import threading
+"""PassManager scheduling: wiring, pruning, serial dependence order."""
 
 import pytest
 
-from repro import perf
 from repro.arraydf.options import AnalysisOptions
 from repro.lang.parser import parse_program
 from repro.pipeline import (
@@ -15,10 +12,8 @@ from repro.pipeline import (
     run_pipeline,
 )
 from repro.pipeline.base import PROGRAM_SCOPE, UNIT_SCOPE, Pass
-from repro.pipeline.manager import _build_region_schedule
 
-# main calls left and right; left calls leaf — two independent subtrees
-# below main ({left, leaf} and {right})
+# main calls left and right; left calls leaf
 SRC = """
 program main
   integer n
@@ -60,7 +55,7 @@ class _Record(Pass):
         self.log = log
 
     def run(self, ctx, unit=None):
-        self.log.append((self.name, unit, threading.current_thread().name))
+        self.log.append((self.name, unit))
         for out in self.outputs:
             ctx.put(out, f"{out}:{unit}", unit)
 
@@ -107,105 +102,25 @@ class TestWiring:
 
 
 class TestRegionSchedule:
-    PASSES = analysis_passes()
-
-    def _schedule(self):
-        ctx = _ctx()
-        units = ("main", "left", "leaf", "right")
-        edges = (("left", "leaf"), ("main", "left"), ("main", "right"))
-        region = tuple(p for p in self.PASSES if p.scope == UNIT_SCOPE)
-        return _build_region_schedule(units, edges, region)
-
-    def test_screen_tasks_are_dependence_free(self):
-        sched = self._schedule()
-        # region pass 0 = screen: per-unit syntax, no callee coupling
-        deps = sched["deps"]
-        for unit in ("main", "left", "leaf", "right"):
-            assert deps[(0, unit)] == ()
-
-    def test_summarize_waits_for_screen_and_callees_only(self):
-        sched = self._schedule()
-        # region pass 1 = summarize
-        deps = sched["deps"]
-        assert deps[(1, "leaf")] == ((0, "leaf"),)
-        assert deps[(1, "right")] == ((0, "right"),)
-        assert set(deps[(1, "left")]) == {(0, "left"), (1, "leaf")}
-        assert set(deps[(1, "main")]) == {
-            (0, "main"),
-            (1, "left"),
-            (1, "right"),
-        }
-
-    def test_decide_depends_on_own_screen_and_summary_only(self):
-        sched = self._schedule()
-        # region pass 2 = decide
-        for unit in ("main", "left", "leaf", "right"):
-            assert sched["deps"][(2, unit)] == ((0, unit), (1, unit))
-
-    def test_waves_expose_parallelism(self):
-        sched = self._schedule()
-        wave = sched["wave"]
-        # every screen fires immediately
-        assert all(wave[(0, u)] == 0 for u in ("main", "left", "leaf", "right"))
-        # leaf and right are independent roots: same summarize wave
-        assert wave[(1, "leaf")] == wave[(1, "right")] == 1
-        assert wave[(1, "left")] == 2
-        assert wave[(1, "main")] == 3
-        # decide rides one wave behind its summarize
-        assert wave[(2, "right")] == 2
-
     def test_serial_task_order_is_pass_major_bottom_up(self):
-        sched = self._schedule()
-        tasks = sched["tasks"]
-        summarize_units = [u for i, u in tasks if i == 1]
+        ctx = run_pipeline(
+            parse_program(SRC), AnalysisOptions.predicated(), explain=True
+        )
+        tasks = [
+            (r["pass"], r["unit"])
+            for r in ctx.explain["schedule"]
+            if r["unit"] is not None
+        ]
+        summarize_units = [u for p, u in tasks if p == "summarize"]
         # bottom-up: leaf before left before main
         assert summarize_units.index("leaf") < summarize_units.index("left")
         assert summarize_units.index("left") < summarize_units.index("main")
         # pass-major: all screen before any summarize before any decide
-        assert tasks.index((1, "leaf")) > tasks.index((0, "main"))
-        assert tasks.index((2, "leaf")) > tasks.index((1, "main"))
-
-    def test_schedule_is_memoized(self):
-        perf.reset_all_caches()
-        from repro.pipeline.manager import _schedule_memo
-
-        run_pipeline(parse_program(SRC), AnalysisOptions.predicated())
-        misses = _schedule_memo.misses
-        run_pipeline(parse_program(SRC), AnalysisOptions.predicated())
-        assert _schedule_memo.misses == misses  # second run hits
-        assert _schedule_memo.hits > 0
+        assert tasks.index(("summarize", "leaf")) > tasks.index(("screen", "main"))
+        assert tasks.index(("decide", "leaf")) > tasks.index(("summarize", "main"))
 
 
 class TestParallelExecution:
-    def test_parallel_respects_dependences(self):
-        """Under many workers, every callee summary still lands before
-        its caller's walk starts (run repeatedly to shake races)."""
-        for _ in range(5):
-            ctx = run_pipeline(
-                parse_program(SRC), AnalysisOptions.predicated(), jobs=4
-            )
-            assert sorted(l.label for l in ctx.get("result").loops) == [
-                "leaf:L1",
-                "right:L1",
-            ]
-
-    def test_parallel_uses_worker_threads(self):
-        # pin the thread executor: under REPRO_EXECUTOR=process the
-        # schedule records proc-<pid> workers instead
-        ctx = run_pipeline(
-            parse_program(SRC),
-            AnalysisOptions.predicated(),
-            jobs=4,
-            explain=True,
-            executor="thread",
-        )
-        workers = {
-            r["worker"]
-            for r in ctx.explain["schedule"]
-            if r.get("unit") is not None
-        }
-        assert any(w.startswith("pipeline") for w in workers)
-
     def test_pass_failure_propagates_deterministically(self):
         log = []
 
@@ -222,9 +137,10 @@ class TestParallelExecution:
                 ctx.put("junk", unit, unit)
 
         passes = list(analysis_passes())[:2] + [Boom()]
-        for jobs in (1, 4):
-            with pytest.raises(RuntimeError, match="boom:leaf"):
-                PassManager(passes).run(_ctx(), jobs=jobs)
+        with pytest.raises(RuntimeError, match="boom:leaf"):
+            PassManager(passes).run(_ctx())
+        # leaf is the first unit bottom-up: nothing ran before it
+        assert log == []
 
 
 class TestExplain:
@@ -232,12 +148,17 @@ class TestExplain:
         ctx = run_pipeline(
             parse_program(SRC),
             AnalysisOptions.predicated(),
-            jobs=2,
             goals=("transformed",),
             explain=True,
         )
         ex = ctx.explain
-        assert ex["jobs"] == 2
+        assert set(ex) == {
+            "units",
+            "callgraph",
+            "passes",
+            "schedule",
+            "pass_seconds",
+        }
         assert ex["units"] == ["main", "left", "leaf", "right"]
         assert ["left", "leaf"] in [
             sorted(e, reverse=True) for e in ex["callgraph"]
@@ -255,14 +176,10 @@ class TestExplain:
         ]
         assert all("seconds" in r for r in ex["schedule"] if not r.get("skipped"))
         assert ex["pass_seconds"].keys() == set(names)
-        # first wave holds every unit's screen (all dependence-free)
-        first_wave = {tuple(t) for t in ex["waves"][0]}
-        assert ("screen", "leaf") in first_wave
-        assert ("screen", "right") in first_wave
-        # the independent subtree roots summarize in the next wave
-        second_wave = {tuple(t) for t in ex["waves"][1]}
-        assert ("summarize", "leaf") in second_wave
-        assert ("summarize", "right") in second_wave
+        # one record per (unit pass, unit), in run order
+        assert [
+            r["unit"] for r in ex["schedule"] if r["pass"] == "summarize"
+        ] == ["leaf", "left", "right", "main"]
 
     def test_explain_off_by_default(self):
         ctx = run_pipeline(parse_program(SRC), AnalysisOptions.predicated())

@@ -11,7 +11,7 @@ tests:
   recompute the projected value on demand and gets exactly what the
   screen-off walk produces;
 * both paths are invisible in the results — screen on and off, cold
-  and warm cache, thread and process executors all agree.
+  and warm cache, thread and process batch executors all agree.
 """
 
 import pytest
@@ -21,7 +21,7 @@ from repro.arraydf.analysis import reproject_loop
 from repro.arraydf.options import AnalysisOptions
 from repro.arraydf.screen import ScreenedUnit
 from repro.lang.parser import parse_program
-from repro.pipeline import run_pipeline
+from repro.pipeline import run_pipeline, run_pipeline_batch
 from repro.service.cache import SummaryCache
 from repro.suites import get_program
 
@@ -172,16 +172,17 @@ class TestWarmAndExecutors:
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_executors_agree_with_serial(self, executor):
-        serial = _rows(
-            _run(parse_program(SKIP_SRC), True, jobs=1, goals=("result",))
+        serial = _rows(_run(parse_program(SKIP_SRC), True, goals=("result",)))
+        perf.reset_all_caches()
+        results = run_pipeline_batch(
+            [parse_program(SKIP_SRC), parse_program(SKIP_SRC)],
+            OPTS,
+            jobs=2,
+            executor=executor,
+            chunk=1,
         )
-        pooled = _rows(
-            _run(
-                parse_program(SKIP_SRC),
-                True,
-                jobs=2,
-                executor=executor,
-                goals=("result",),
-            )
-        )
-        assert pooled == serial
+        for result in results:
+            assert [
+                (l.label, l.status, str(l.condition), l.reason, l.enclosed)
+                for l in result.loops
+            ] == serial

@@ -1,15 +1,10 @@
-"""The warm fleet: content keys, epoch invalidation, taint eviction.
+"""The warm fleet: epoch invalidation and batch chunking.
 
-PR 10 lets pool workers keep their engines and memo tables alive across
-runs within a *fleet epoch* (``docs/EXECUTION.md`` §7).  The contract
-under test:
+Batch pool workers keep their memo tables alive across chunks within a
+*fleet epoch* (``docs/EXECUTION.md``).  The contract under test:
 
-* engine keys are pure content hashes when the fleet is warm, per-run
-  nonces when it is off (``REPRO_WARM_FLEET=0`` restores PR-9 behavior
-  byte for byte);
 * every semantic knob change bumps the epoch, and a worker seeing a
-  newer epoch drops *all* warm state before touching the task;
-* a degraded (budget-tainted) engine never survives into another run;
+  newer epoch drops *all* warm state before touching the chunk;
 * none of which may change any analysis answer, for any executor, job
   count, chunking, or budget.
 """
@@ -21,11 +16,7 @@ import pytest
 
 from repro import perf
 from repro.arraydf.options import AnalysisOptions
-from repro.pipeline import (
-    resolve_batch_chunk,
-    run_pipeline,
-    run_pipeline_batch,
-)
+from repro.pipeline import resolve_batch_chunk, run_pipeline_batch
 from repro.pipeline import executor as pexec
 from repro.service.budgets import Budget, budget_scope
 from repro.suites import all_programs
@@ -34,10 +25,6 @@ from repro.suites import all_programs
 @pytest.fixture(autouse=True)
 def _restore_state():
     yield
-    pexec.set_executor(None)
-    perf.set_warm_fleet(None)
-    pexec._worker_engines.clear()
-    pexec._worker_built_keys.clear()
     pexec._worker_epoch = None
 
 
@@ -47,45 +34,6 @@ def _bench(i=0):
 
 def _opts():
     return AnalysisOptions.predicated()
-
-
-# ----------------------------------------------------------------------
-# engine keys
-# ----------------------------------------------------------------------
-class TestEngineKeys:
-    def test_warm_keys_are_stable_content_hashes(self):
-        perf.set_warm_fleet(True)
-        p = _bench().fresh_program()
-        h1 = pexec.make_header(p, _opts(), None)
-        h2 = pexec.make_header(p, _opts(), None)
-        assert h1.engine_key == h2.engine_key
-        assert len(h1.engine_key) == 24
-        int(h1.engine_key, 16)  # pure hex: no nonce suffix
-
-    def test_warm_keys_separate_distinct_inputs(self):
-        perf.set_warm_fleet(True)
-        p, q = _bench(0).fresh_program(), _bench(1).fresh_program()
-        keys = {
-            pexec.make_header(p, _opts(), None).engine_key,
-            pexec.make_header(q, _opts(), None).engine_key,
-            pexec.make_header(p, AnalysisOptions.base(), None).engine_key,
-        }
-        assert len(keys) == 3
-
-    def test_cold_keys_keep_the_per_run_nonce(self):
-        perf.set_warm_fleet(False)
-        p = _bench().fresh_program()
-        h1 = pexec.make_header(p, _opts(), None)
-        h2 = pexec.make_header(p, _opts(), None)
-        assert h1.engine_key != h2.engine_key
-        assert ":" in h1.engine_key
-
-    def test_header_carries_the_current_epoch(self):
-        p = _bench().fresh_program()
-        before = perf.epoch()
-        assert pexec.make_header(p, _opts(), None).epoch == before
-        perf.bump_epoch()
-        assert pexec.make_header(p, _opts(), None).epoch == before + 1
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +60,6 @@ class TestEpochBumps:
             perf.set_packed_kernel,
             perf.set_bytecode,
             perf.set_dep_screen,
-            perf.set_warm_fleet,
             set_pipeline,
         ]
         for setter in setters:
@@ -136,70 +83,33 @@ class TestEpochBumps:
 
 
 # ----------------------------------------------------------------------
-# worker-side reuse / rebuild / eviction (functions called in-process:
-# the worker entry points are plain functions, so this is deterministic
-# where a live pool's task routing is not)
+# worker-side epoch sync (called in-process: the worker entry points are
+# plain functions, so this is deterministic where a live pool's chunk
+# routing is not)
 # ----------------------------------------------------------------------
 class TestWorkerEngineLifecycle:
-    def _header(self):
-        perf.set_warm_fleet(True)
-        return pexec.make_header(_bench().fresh_program(), _opts(), None)
+    def _warm(self):
+        """Sync to an epoch and warm the memo tables; returns the epoch."""
+        epoch = perf.epoch()
+        pexec._sync_epoch(epoch)
+        run_pipeline_batch([_bench().fresh_program()], _opts())
+        assert perf.snapshot()["caches"]["fm.eliminate_all"]["size"] > 0
+        return epoch
 
-    def test_first_touch_builds_then_reuses(self):
-        h = self._header()
-        pexec._sync_epoch(h.epoch)
-        b0 = perf.counter("pipeline.executor.builds")
-        r0 = perf.counter("pipeline.executor.reuses")
-        e1 = pexec._worker_engine(h)
-        assert perf.counter("pipeline.executor.builds") == b0 + 1
-        e2 = pexec._worker_engine(h)
-        assert e2 is e1
-        assert perf.counter("pipeline.executor.reuses") == r0 + 1
-
-    def test_epoch_sync_drops_engines_and_counts_rebuild(self):
-        h = self._header()
-        pexec._sync_epoch(h.epoch)
-        pexec._worker_engine(h)
+    def test_epoch_sync_drops_memos_and_counts_it(self):
+        epoch = self._warm()
         s0 = perf.counter("pipeline.executor.epoch_syncs")
-        pexec._sync_epoch(h.epoch + 1)
+        pexec._sync_epoch(epoch + 1)
         assert perf.counter("pipeline.executor.epoch_syncs") == s0 + 1
-        assert pexec._worker_engines == {}
-        rb0 = perf.counter("pipeline.executor.rebuilds")
-        pexec._worker_engine(h)  # key seen before: rebuild, not build
-        assert perf.counter("pipeline.executor.rebuilds") == rb0 + 1
+        assert perf.snapshot()["caches"]["fm.eliminate_all"]["size"] == 0
 
     def test_same_epoch_sync_is_a_noop(self):
-        h = self._header()
-        pexec._sync_epoch(h.epoch)
-        pexec._worker_engine(h)
+        epoch = self._warm()
         s0 = perf.counter("pipeline.executor.epoch_syncs")
-        pexec._sync_epoch(h.epoch)
+        pexec._sync_epoch(epoch)
         assert perf.counter("pipeline.executor.epoch_syncs") == s0
-        assert pexec._worker_engines  # warm state untouched
-
-    def test_tainted_engine_is_evicted_not_reused(self):
-        h = self._header()
-        pexec._sync_epoch(h.epoch)
-        engine = pexec._worker_engine(h)
-        engine.tainted_units.add("main")  # simulate a budget trip
-        pexec._evict_engine_if_tainted(h.engine_key, engine)
-        assert h.engine_key not in pexec._worker_engines
-        rb0 = perf.counter("pipeline.executor.rebuilds")
-        fresh = pexec._worker_engine(h)
-        assert fresh is not engine
-        assert perf.counter("pipeline.executor.rebuilds") == rb0 + 1
-
-    def test_engine_lru_is_bounded(self):
-        perf.set_warm_fleet(True)
-        pexec._sync_epoch(perf.epoch())
-        for i in range(pexec._WORKER_ENGINE_MAX + 2):
-            h = pexec.make_header(
-                _bench(i % len(all_programs())).fresh_program(),
-                _opts(),
-                None,
-            )
-            pexec._worker_engine(h)
-        assert len(pexec._worker_engines) <= pexec._WORKER_ENGINE_MAX
+        # warm state untouched
+        assert perf.snapshot()["caches"]["fm.eliminate_all"]["size"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -208,28 +118,32 @@ class TestWorkerEngineLifecycle:
 COMBOS = [
     ("thread", 1),
     ("thread", 2),
-    ("thread", 4),
-    ("process", 1),
     ("process", 2),
     ("process", 4),
 ]
 
 
 def _result_hash(bench, executor, jobs, budget=None):
+    """Decision rows of a two-program batch of *bench* (one program per
+    chunk, so under the process pool both workers may take one)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with budget_scope(budget):
-            ctx = run_pipeline(
-                bench.fresh_program(),
+            results = run_pipeline_batch(
+                [bench.fresh_program(), bench.fresh_program()],
                 AnalysisOptions.predicated(),
                 jobs=jobs,
                 executor=executor,
+                chunk=1,
             )
     rows = [
-        (l.label, l.status, str(l.condition), l.enclosed, l.runtime_test)
-        for l in ctx.get("result").loops
+        [
+            (l.label, l.status, str(l.condition), l.enclosed, l.runtime_test)
+            for l in r.loops
+        ]
+        for r in results
     ]
-    return hashlib.sha256(repr((rows, ctx.degraded)).encode()).hexdigest()
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 class TestEpochInvalidationProperty:
@@ -273,9 +187,9 @@ class TestEpochInvalidationProperty:
             assert cold1 == cold2, (executor, jobs)
 
     def test_degraded_run_never_poisons_the_next(self):
-        """A budget-tripped run leaves tainted engines behind; the next
+        """A budget-tripped run leaves warm workers behind; the next
         *unbudgeted* run in the same epoch must still produce the clean
-        answer (taint eviction, not a nonce, is what protects it)."""
+        answer (degraded state is never memoized or cached)."""
         bench = _bench(3)
         for executor, jobs in COMBOS:
             perf.reset_all_caches()
@@ -351,27 +265,3 @@ class TestBatchChunking:
         run_pipeline_batch(programs, _opts(), jobs=2, executor="process", chunk=2)
         assert perf.counter("pipeline.executor.chunks") == c0 + 3
         assert perf.counter("pipeline.executor.batch_programs") == p0 + 6
-
-
-# ----------------------------------------------------------------------
-# the warm-fleet switch
-# ----------------------------------------------------------------------
-class TestWarmFleetSwitch:
-    def test_environment_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WARM_FLEET", raising=False)
-        perf.set_warm_fleet(None)
-        assert perf.warm_fleet_enabled() is True  # on by default
-        monkeypatch.setenv("REPRO_WARM_FLEET", "0")
-        perf.set_warm_fleet(None)
-        assert perf.warm_fleet_enabled() is False
-        perf.set_warm_fleet(True)
-        assert perf.warm_fleet_enabled() is True
-
-    def test_disabled_fleet_still_answers_identically(self):
-        bench = _bench(2)
-        perf.set_warm_fleet(True)
-        perf.reset_all_caches()
-        warm = _result_hash(bench, "process", 2)
-        perf.set_warm_fleet(False)
-        perf.reset_all_caches()
-        assert _result_hash(bench, "process", 2) == warm

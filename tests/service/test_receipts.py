@@ -93,7 +93,8 @@ class TestReceiptContract:
             assert isinstance(knobs[switch], bool)
         assert knobs["options"] == "predicated"
         assert "predicates=True" in knobs["options_fingerprint"]
-        assert knobs["executor"] in ("thread", "process")
+        # one program runs serially: no fan-out knob shapes a job
+        assert "executor" not in knobs and "jobs" not in knobs
 
     def test_budget_granted_recorded(self):
         _, receipt = _execute(

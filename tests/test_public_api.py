@@ -42,3 +42,29 @@ class TestLazyExports:
         pred = repro.AnalysisOptions.predicated()
         assert not base.predicates and pred.predicates
         assert base.scalar_propagation  # scalar analysis predates predicates
+
+
+class TestColdImports:
+    def test_pipeline_import_loads_no_pool_machinery(self):
+        """One program runs serially; the batch pools are imported
+        lazily at the first batch, so a cold ``analyze`` never pays for
+        ``concurrent.futures`` or ``multiprocessing``."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys, repro.pipeline; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('concurrent', 'multiprocessing')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
