@@ -9,7 +9,8 @@ survive across chunks within a fleet epoch, and
 (`docs/PERF.md` §9.3, `docs/EXECUTION.md` §5).
 
 The stream here is the suite's single-unit programs, repeated — the
-fuzz-farm shape: many tiny independent jobs.
+fuzz-farm shape: many tiny independent jobs.  ``JOBS`` is the cpu count
+capped at 4: more workers than cores only oversubscribe them.
 
 * ``test_batch_cold`` — every round resets all caches first, so it
   pays pool teardown/refork, per-worker substrate builds and cold
@@ -36,7 +37,7 @@ from repro.arraydf.options import AnalysisOptions
 from repro.pipeline import run_pipeline_batch
 from repro.suites import all_programs
 
-JOBS = 4
+JOBS = min(4, os.cpu_count() or 1)
 #: repeats of the single-unit sub-suite per round — a stream long
 #: enough that chunking matters, short enough to benchmark honestly
 REPEATS = 3

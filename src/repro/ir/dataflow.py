@@ -13,10 +13,9 @@ until the in/out sets stabilize:
     out(n) = gen(n) ∪ (in(n) − kill(n))
 
 Backward problems run the same recurrence over the reversed graph.
-Facts are bit positions; the in/out sets are packed 64-bit words — rows
-of a NumPy ``uint64`` matrix when NumPy is importable (the
-:mod:`repro.linalg.packed` idiom), plain Python ints otherwise; both
-paths compute identical sets.
+Facts are bit positions; every in/out set is one arbitrary-width Python
+int used as a bitvector, so any number of facts needs no word packing
+and meet/transfer are single ``|``/``&`` operations.
 
 Unreachable nodes (no predecessors along the direction of flow) keep
 their initial value: the meet identity — empty for ANYPATH, the
@@ -40,15 +39,10 @@ dependence screen (:mod:`repro.arraydf.screen`) shares the flow graph.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List
 
 from repro import perf
 from repro.ir.regiongraph import FlowGraph
-
-try:  # the packed path is an optional fast lane, never required
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is in the baked image
-    _np = None
 
 #: analysis direction
 FORWARD = "forward"
@@ -57,8 +51,6 @@ BACKWARD = "backward"
 #: meet operator
 ANYPATH = "anypath"  # union: a fact holds if it holds on *some* path
 ALLPATH = "allpath"  # intersection: a fact holds on *all* paths
-
-_WORD = 64
 
 for _name in (
     "dataflow.engine.runs",
@@ -137,118 +129,6 @@ def _mask_of(bits: Iterable[int], nbits: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# packed word-matrix helpers (NumPy uint64 rows / plain-int fallback)
-# ----------------------------------------------------------------------
-
-
-def _pack_rows(masks: Sequence[int], words: int):
-    """Lower int bitmasks into an (n, words) uint64 matrix."""
-    rows = _np.zeros((len(masks), words), dtype=_np.uint64)
-    for i, mask in enumerate(masks):
-        for w in range(words):
-            rows[i, w] = (mask >> (w * _WORD)) & 0xFFFFFFFFFFFFFFFF
-    return rows
-
-def _unpack_row(row) -> int:
-    mask = 0
-    for w in range(row.shape[0]):
-        mask |= int(row[w]) << (w * _WORD)
-    return mask
-
-
-def _solve_packed(
-    nbits: int,
-    n: int,
-    preds: List[List[int]],
-    succs: List[List[int]],
-    gen_masks: List[int],
-    kill_masks: List[int],
-    init_masks: List[int],
-    order: List[int],
-    top: int,
-    anypath: bool,
-) -> DataflowSolution:
-    """The worklist iteration on packed uint64 word rows."""
-    words = max(1, (nbits + _WORD - 1) // _WORD)
-    gen = _pack_rows(gen_masks, words)
-    keep = _pack_rows([(~k) & top for k in kill_masks], words)  # ~kill
-    in_rows = _pack_rows(init_masks, words)
-    out_rows = gen | (in_rows & keep)
-
-    worklist = deque(order)
-    queued = [False] * n
-    for i in order:
-        queued[i] = True
-    pops = 0
-    while worklist:
-        node = worklist.popleft()
-        queued[node] = False
-        pops += 1
-        p = preds[node]
-        if p:
-            acc = out_rows[p[0]].copy()
-            for q in p[1:]:
-                if anypath:
-                    acc |= out_rows[q]
-                else:
-                    acc &= out_rows[q]
-            in_rows[node] = acc
-        new_out = gen[node] | (in_rows[node] & keep[node])
-        if not _np.array_equal(new_out, out_rows[node]):
-            out_rows[node] = new_out
-            for s in succs[node]:
-                if not queued[s]:
-                    queued[s] = True
-                    worklist.append(s)
-    perf.bump("dataflow.iterations", pops)
-    return DataflowSolution(
-        [_unpack_row(in_rows[i]) for i in range(n)],
-        [_unpack_row(out_rows[i]) for i in range(n)],
-    )
-
-
-def _solve_ints(
-    nbits: int,
-    n: int,
-    preds: List[List[int]],
-    succs: List[List[int]],
-    gen_masks: List[int],
-    kill_masks: List[int],
-    init_masks: List[int],
-    order: List[int],
-    top: int,
-    anypath: bool,
-) -> DataflowSolution:
-    """The identical iteration on arbitrary-width Python ints."""
-    keep = [(~k) & top for k in kill_masks]
-    in_masks = list(init_masks)
-    out_masks = [gen_masks[i] | (in_masks[i] & keep[i]) for i in range(n)]
-
-    worklist = deque(order)
-    queued = [True] * n
-    pops = 0
-    while worklist:
-        node = worklist.popleft()
-        queued[node] = False
-        pops += 1
-        p = preds[node]
-        if p:
-            acc = out_masks[p[0]]
-            for q in p[1:]:
-                acc = (acc | out_masks[q]) if anypath else (acc & out_masks[q])
-            in_masks[node] = acc
-        new_out = gen_masks[node] | (in_masks[node] & keep[node])
-        if new_out != out_masks[node]:
-            out_masks[node] = new_out
-            for s in succs[node]:
-                if not queued[s]:
-                    queued[s] = True
-                    worklist.append(s)
-    perf.bump("dataflow.iterations", pops)
-    return DataflowSolution(in_masks, out_masks)
-
-
-# ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
 
@@ -276,17 +156,32 @@ def solve(problem: DataflowProblem, graph: FlowGraph) -> DataflowSolution:
     gen_masks = [_mask_of(problem.gen(i), nbits) for i in range(n)]
     kill_masks = [_mask_of(problem.kill(i), nbits) for i in range(n)]
     init = 0 if anypath else top
-    init_masks = [init] * n
-    init_masks[entry] = _mask_of(problem.boundary(), nbits)
-
-    order = list(range(n))
-    if backward:
-        order.reverse()
+    in_masks = [init] * n
+    in_masks[entry] = _mask_of(problem.boundary(), nbits)
+    keep = [(~k) & top for k in kill_masks]
+    out_masks = [gen_masks[i] | (in_masks[i] & keep[i]) for i in range(n)]
 
     perf.bump("dataflow.engine.runs")
     perf.bump("dataflow.engine.nodes", n)
-    impl = _solve_packed if _np is not None else _solve_ints
-    return impl(
-        nbits, n, preds, succs, gen_masks, kill_masks, init_masks,
-        order, top, anypath,
-    )
+    worklist = deque(range(n - 1, -1, -1) if backward else range(n))
+    queued = [True] * n
+    pops = 0
+    while worklist:
+        node = worklist.popleft()
+        queued[node] = False
+        pops += 1
+        p = preds[node]
+        if p:
+            acc = out_masks[p[0]]
+            for q in p[1:]:
+                acc = (acc | out_masks[q]) if anypath else (acc & out_masks[q])
+            in_masks[node] = acc
+        new_out = gen_masks[node] | (in_masks[node] & keep[node])
+        if new_out != out_masks[node]:
+            out_masks[node] = new_out
+            for s in succs[node]:
+                if not queued[s]:
+                    queued[s] = True
+                    worklist.append(s)
+    perf.bump("dataflow.iterations", pops)
+    return DataflowSolution(in_masks, out_masks)

@@ -9,7 +9,7 @@ intern-table traffic rather than arithmetic.  This module lowers an
 interned system **once** into a packed dense form — a shared variable
 order plus rows of plain integer coefficients — and runs the whole
 elimination pipeline (gcd normalization and integer tightening,
-duplicate/trivial-row dropping, batched lower×upper pair combination,
+duplicate/trivial-row dropping, lower×upper pair combination,
 the min-pair-product elimination-order heuristic, the
 ``SIMPLIFY_THRESHOLD`` redundancy sweep, and ground feasibility) on that
 form, re-interning ``Constraint``/``LinearSystem`` objects only for the
@@ -37,11 +37,6 @@ back through the hash-consing constructors yields **pointer-equal**
 interned results — experiment tables, cached summaries and rendered
 predicates are byte-identical with the kernel on or off
 (``REPRO_PACKED_KERNEL`` / :func:`repro.perf.set_packed_kernel`).
-
-A NumPy fast path batches the lower×upper pair combination on int64
-matrices when NumPy is importable and the coefficient magnitudes provably
-cannot overflow; it is auto-detected and never required — the pure-tuple
-path computes identical rows.
 
 Memo tables (registered with :mod:`repro.perf`):
 
@@ -75,18 +70,6 @@ from repro.linalg.fourier_motzkin import (
 from repro.linalg.system import LinearSystem
 from repro.service.budgets import charge_fm
 from repro.symbolic.affine import AffineExpr
-
-try:  # optional batched pair-combination; the tuple path is always exact
-    import numpy as _np
-except Exception:  # pragma: no cover - environment without numpy
-    _np = None
-
-#: minimum lower×upper pair count before the NumPy batch path pays for
-#: its array round trip
-_NUMPY_MIN_PAIRS = 64
-#: int64 safety bound for one product term in a combined coefficient
-#: (two such terms are summed, so each must stay below 2**62)
-_INT64_SAFE = 2**62
 
 _LOWER = perf.memo_table("fm.packed.lower")
 _REUSE = perf.memo_table("fm.packed.reuse")
@@ -264,7 +247,7 @@ def lift(packed: Packed) -> LinearSystem:
 # ----------------------------------------------------------------------
 # the elimination pipeline
 # ----------------------------------------------------------------------
-def _combine_pairs_scalar(
+def _combine_pairs(
     lowers: List[Row], uppers: List[Row], vi: int
 ) -> List[Row]:
     out: List[Row] = []
@@ -280,70 +263,6 @@ def _combine_pairs_scalar(
             nc, nk = _norm_le_row(coeffs, lk * a_up - uk * a_lo)
             out.append((False, nc, nk))
     return out
-
-
-def _combine_pairs_numpy(
-    lowers: List[Row], uppers: List[Row], vi: int
-) -> List[Row]:
-    """Batched pair combination + row normalization on int64 matrices.
-
-    Produces exactly the rows of :func:`_combine_pairs_scalar` (callers
-    pre-check the overflow bound); only the batching differs.
-    """
-    ncols = len(lowers[0][1]) + 1  # coefficients plus the constant column
-    lo_m = _np.empty((len(lowers), ncols), dtype=_np.int64)
-    up_m = _np.empty((len(uppers), ncols), dtype=_np.int64)
-    for i, (_, coeffs, const) in enumerate(lowers):
-        lo_m[i, :-1] = coeffs
-        lo_m[i, -1] = const
-    for i, (_, coeffs, const) in enumerate(uppers):
-        up_m[i, :-1] = coeffs
-        up_m[i, -1] = const
-    a_lo = lo_m[:, vi]  # negative
-    a_up = up_m[:, vi]  # positive
-    # combined[i, j] = lowers[i] * a_up[j] - uppers[j] * a_lo[i]
-    m = (
-        lo_m[:, None, :] * a_up[None, :, None]
-        - up_m[None, :, :] * a_lo[:, None, None]
-    ).reshape(-1, ncols)
-    # integerize: divide out the overall content (constant included)
-    g = _np.gcd.reduce(_np.abs(m), axis=1)
-    _np.maximum(g, 1, out=g)
-    m //= g[:, None]
-    # tighten: primitive variable part, floored constant
-    g2 = _np.gcd.reduce(_np.abs(m[:, :-1]), axis=1)
-    _np.maximum(g2, 1, out=g2)
-    coeffs_t = m[:, :-1] // g2[:, None]
-    const_t = -((-m[:, -1]) // g2)
-    rows = coeffs_t.tolist()
-    consts = const_t.tolist()
-    return [
-        (False, tuple(row), const) for row, const in zip(rows, consts)
-    ]
-
-
-def _numpy_combinable(lowers: List[Row], uppers: List[Row], vi: int) -> bool:
-    """True when the int64 batch path provably cannot overflow."""
-    if _np is None or len(lowers) * len(uppers) < _NUMPY_MIN_PAIRS:
-        return False
-
-    def _max_abs(rows: List[Row]) -> int:
-        m = 1
-        for _, coeffs, const in rows:
-            for c in coeffs:
-                a = c if c >= 0 else -c
-                if a > m:
-                    m = a
-            a = const if const >= 0 else -const
-            if a > m:
-                m = a
-        return m
-
-    max_lo = _max_abs(lowers)
-    max_up = _max_abs(uppers)
-    max_alo = max(-lo[1][vi] for lo in lowers)
-    max_aup = max(up[1][vi] for up in uppers)
-    return max_lo * max_aup < _INT64_SAFE and max_up * max_alo < _INT64_SAFE
 
 
 def _eliminate_rows(packed: Packed, var: str) -> Packed:
@@ -425,10 +344,7 @@ def _eliminate_rows(packed: Packed, var: str) -> Packed:
 
     charge_fm(n_pairs)
     combined: List[Row] = list(others)
-    if _numpy_combinable(lowers, uppers, vi):
-        combined.extend(_combine_pairs_numpy(lowers, uppers, vi))
-    else:
-        combined.extend(_combine_pairs_scalar(lowers, uppers, vi))
+    combined.extend(_combine_pairs(lowers, uppers, vi))
     perf.bump("fm.pair_combine", n_pairs)
     result = _canon(vars_, combined)
     if len(result[1]) > MAX_CONSTRAINTS:

@@ -85,6 +85,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, a keep-alive
+    # client's delayed ACK holds the body back about 40 ms per response.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     def _send_json(

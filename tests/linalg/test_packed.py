@@ -208,29 +208,6 @@ class TestEliminationStep:
         assert eliminate_all(s, ("i", "j")) is expected
 
 
-class TestNumpyPath:
-    def test_numpy_combine_matches_scalar(self):
-        np = pytest.importorskip("numpy")
-        assert packed._np is np
-        rng_rows = [
-            (False, (-(i % 4 + 1), i - 6, 2 * i - 3), i - 5)
-            for i in range(10)
-        ]
-        lowers = [r for r in rng_rows if r[1][0] < 0]
-        uppers = [
-            (False, (i % 3 + 1, 4 - i, i), 7 - i) for i in range(10)
-        ]
-        got = packed._combine_pairs_numpy(lowers, uppers, 0)
-        want = packed._combine_pairs_scalar(lowers, uppers, 0)
-        assert got == want
-
-    def test_overflow_guard_rejects_huge_coefficients(self):
-        big = 2**40
-        lowers = [(False, (-big, big), big)] * 8
-        uppers = [(False, (big, -big), big)] * 8
-        assert not packed._numpy_combinable(lowers, uppers, 0)
-
-
 class TestMemoRegistration:
     def test_packed_memos_clear_on_reset(self):
         s = _sys(Constraint.ge(I, C(0)), Constraint.le(I, C(5)))

@@ -1,8 +1,10 @@
 """Tests for the HTTP front door."""
 
+import http.client
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -62,8 +64,6 @@ def _post(base, path, body, raw=None):
 
 
 def _wait_done(base, jid, tries=600):
-    import time
-
     for _ in range(tries):
         _, payload, _ = _get(base, f"/v1/jobs/{jid}")
         if payload["state"] in ("done", "failed"):
@@ -78,6 +78,23 @@ class TestEndpoints:
         code, payload, _ = _get(base, "/v1/healthz")
         assert code == 200
         assert payload == {"ok": True, "draining": False}
+
+    def test_keep_alive_requests_do_not_stall(self, service):
+        # a delayed-ACK stall costs about 40 ms per response; 10 requests
+        # on one connection must finish far below 10 x 40 ms
+        base, *_ = service
+        conn = http.client.HTTPConnection(base[len("http://"):], timeout=30)
+        try:
+            start = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/v1/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                assert json.loads(resp.read())["ok"] is True
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.2, f"10 keep-alive requests took {elapsed:.3f} s"
 
     def test_job_lifecycle(self, service):
         base, queue, _, _ = service

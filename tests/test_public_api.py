@@ -1,5 +1,11 @@
 """The documented top-level API surface."""
 
+import ast
+import importlib.util
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -44,27 +50,53 @@ class TestLazyExports:
         assert base.scalar_propagation  # scalar analysis predates predicates
 
 
+def _loaded_after(probe: str) -> set:
+    """Top-level modules a fresh interpreter holds after *probe* runs."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        probe + "\nimport sys\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return set(ast.literal_eval(out.strip().splitlines()[-1]))
+
+
 class TestColdImports:
     def test_pipeline_import_loads_no_pool_machinery(self):
         """One program runs serially; the batch pools are imported
         lazily at the first batch, so a cold ``analyze`` never pays for
         ``concurrent.futures`` or ``multiprocessing``."""
-        import os
-        import subprocess
-        import sys
+        loaded = _loaded_after("import repro.pipeline")
+        assert not loaded & {"concurrent", "multiprocessing"}
 
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        probe = (
-            "import sys, repro.pipeline; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] "
-            "in ('concurrent', 'multiprocessing')))"
+    def test_analysis_modules_load_no_numpy(self):
+        """The analysis layers are pure Python; only the runtime's
+        vector loops and bulk ELPD classification use NumPy."""
+        loaded = _loaded_after("import repro.pipeline, repro.partests.driver")
+        assert "numpy" not in loaded
+
+    def test_cold_analyze_loads_no_numpy(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.dirname(repro.__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "quickstart", os.path.join(root, "examples", "quickstart.py")
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        assert out.strip() == "[]"
+        quickstart = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(quickstart)
+        prog = tmp_path / "quickstart.f"
+        prog.write_text(quickstart.SOURCE)
+        loaded = _loaded_after(
+            "import runpy, sys\n"
+            f"sys.argv = ['repro', 'analyze', {str(prog)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code"
+        )
+        assert "numpy" not in loaded
