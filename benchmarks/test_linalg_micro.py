@@ -1,15 +1,10 @@
-"""Micro-benchmarks of the linalg elimination kernels, packed vs legacy.
+"""Micro-benchmarks of the linalg elimination kernel.
 
-Each workload is timed twice — once with the packed integer-matrix
-kernel (``REPRO_PACKED_KERNEL``, the default) and once on the legacy
-symbolic path — from cold caches on the *same* deterministic constraint
-corpus, so the pair of benchmarks isolates exactly the kernel cost.  The
-packed variant of each pair must be strictly faster (gated by
-``--max-ratio`` in ``make perfgate``), and the deterministic ``fm.*``
-counters recorded in ``extra_info`` must be *equal* across modes — the
-packed kernel does the same eliminations and pair combinations, it just
-runs them on plain integer tuples (``check_parity_pairs`` in
-``benchmarks/check_regression.py`` gates that equality).
+Each workload runs from cold caches on a deterministic constraint
+corpus; the deterministic ``fm.*`` counters of one cold run are
+recorded in ``extra_info`` (``benchmarks/check_regression.py`` gates
+them against the baseline's, when it has them).  The ``_packed`` names
+are kept so the committed ``BENCH_*.json`` records stay comparable.
 
 Compare runs against the committed recordings with
 ``benchmarks/check_regression.py`` (which runs this file alongside the
@@ -26,7 +21,7 @@ from repro.linalg.fourier_motzkin import eliminate_all
 from repro.linalg.system import LinearSystem
 from repro.symbolic.affine import AffineExpr
 
-PARITY_COUNTERS = ("fm.eliminate", "fm.pair_combine", "fm.fallback_drop")
+FM_COUNTERS = ("fm.eliminate", "fm.pair_combine", "fm.fallback_drop")
 
 
 def _corpus(seed=7, count=120):
@@ -52,39 +47,20 @@ def _corpus(seed=7, count=120):
     return systems
 
 
-def _measure(enabled, workload):
-    """Cold-cache deterministic counter deltas for one kernel mode."""
-    perf.set_packed_kernel(enabled)
+def _cold_run(workload):
     perf.reset_all_caches()
-    perf.reset_counters()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            workload()
-        return {c: perf.counter(c) for c in PARITY_COUNTERS}
-    finally:
-        perf.set_packed_kernel(None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return workload()
 
 
-def _bench_pair(benchmark, enabled, workload):
-    """Record parity counters for both modes, then time one of them."""
-    counts_on = _measure(True, workload)
-    counts_off = _measure(False, workload)
-    for key in PARITY_COUNTERS:
-        benchmark.extra_info[f"{key}[packed=on]"] = counts_on[key]
-        benchmark.extra_info[f"{key}[packed=off]"] = counts_off[key]
-
-    def probe():
-        perf.set_packed_kernel(enabled)
-        perf.reset_all_caches()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                return workload()
-        finally:
-            perf.set_packed_kernel(None)
-
-    return benchmark(probe)
+def _bench(benchmark, workload):
+    """Record one cold run's fm counters, then time cold runs."""
+    before = {c: perf.counter(c) for c in FM_COUNTERS}
+    _cold_run(workload)
+    for key in FM_COUNTERS:
+        benchmark.extra_info[key] = perf.counter(key) - before[key]
+    return benchmark(lambda: _cold_run(workload))
 
 
 def _eliminate_workload():
@@ -109,18 +85,9 @@ def _feasibility_workload():
 
 
 def test_linalg_eliminate_packed(benchmark):
-    _bench_pair(benchmark, True, _eliminate_workload())
-
-
-def test_linalg_eliminate_legacy(benchmark):
-    _bench_pair(benchmark, False, _eliminate_workload())
+    _bench(benchmark, _eliminate_workload())
 
 
 def test_linalg_feasibility_packed(benchmark):
-    feasible = _bench_pair(benchmark, True, _feasibility_workload())
-    assert 0 < feasible <= 120
-
-
-def test_linalg_feasibility_legacy(benchmark):
-    feasible = _bench_pair(benchmark, False, _feasibility_workload())
+    feasible = _bench(benchmark, _feasibility_workload())
     assert 0 < feasible <= 120

@@ -4,9 +4,7 @@ Three workloads mirror how the analysis exercises the oracle —
 unsatisfiability of extracted guard conjunctions, implication chains
 between guards, and semantic guarded-list compaction — plus one
 whole-pipeline probe that analyzes a predicated (tab2) configuration
-and records the deterministic op counts with the oracle enabled vs
-disabled in ``extra_info``, asserting the enabled path does strictly
-less ground feasibility work.
+and records its deterministic op counts in ``extra_info``.
 
 Compare runs against the committed recordings with
 ``benchmarks/check_regression.py`` (which runs this file alongside
@@ -113,42 +111,22 @@ def test_dedup_guarded_semantic(benchmark):
 def test_predicated_analysis_ops(benchmark):
     """Whole predicated (tab2-config) analysis of a branchy program.
 
-    Times the oracle-enabled run and records the deterministic op
-    counters for both oracle modes in ``extra_info`` — the enabled path
-    must do strictly less ground feasibility work while producing the
-    same decisions (byte-identity is asserted by the integration suite).
+    Records the deterministic op counters of one cold run in
+    ``extra_info``, then times warm runs.
     """
     from repro.partests.driver import analyze_program
     from repro.suites import get_program
 
     prog = get_program("hydro2d")
 
-    def measure(enabled):
-        perf.set_pred_oracle(enabled)
-        perf.reset_all_caches()
-        perf.reset_counters()
-        analyze_program(prog.fresh_program(), AnalysisOptions.predicated())
-        snap = perf.snapshot()
-        return (
-            snap["counters"].get("feasibility.ground", 0),
-            snap["total_ops"],
-        )
-
-    try:
-        ground_on, ops_on = measure(True)
-        ground_off, ops_off = measure(False)
-    finally:
-        perf.set_pred_oracle(None)
-
-    assert ground_on < ground_off, (
-        f"oracle must reduce ground feasibility work: "
-        f"{ground_on} !< {ground_off}"
+    perf.reset_all_caches()
+    ground = perf.counter("feasibility.ground")
+    ops = perf.total_ops()
+    analyze_program(prog.fresh_program(), AnalysisOptions.predicated())
+    benchmark.extra_info["feasibility.ground"] = (
+        perf.counter("feasibility.ground") - ground
     )
-    assert ops_on < ops_off
-    benchmark.extra_info["feasibility.ground[oracle=on]"] = ground_on
-    benchmark.extra_info["feasibility.ground[oracle=off]"] = ground_off
-    benchmark.extra_info["total_ops[oracle=on]"] = ops_on
-    benchmark.extra_info["total_ops[oracle=off]"] = ops_off
+    benchmark.extra_info["total_ops"] = perf.total_ops() - ops
 
     def analyze():
         return analyze_program(

@@ -1,19 +1,14 @@
 """Micro-benchmarks of the tier-0 dependence screen.
 
-Three questions, matching the PR's optimization claims:
+Three questions:
 
 * what does the screen itself cost (pure syntax, no analysis)?
-* what does a screened whole-program analysis cost against the
-  screen-off analysis on the same program (``test_whole_program_analysis``
-  in ``test_core_micro.py`` is the screened default; the ``_unscreened``
-  variant here pins the switch off)?
+* what does a screened whole-suite analysis cost?
 * how much summarization work does the suite skip on the screen's word?
 
 Compare runs against the recorded baselines with
 ``benchmarks/check_regression.py``.
 """
-
-import pytest
 
 from repro import perf
 from repro.arraydf.options import AnalysisOptions
@@ -47,60 +42,19 @@ def _analyze_suite():
 
 
 def test_whole_suite_screened(benchmark):
-    """All 30 programs, screen on (the shipping default)."""
-
-    def probe():
-        perf.set_dep_screen(True)
-        try:
-            return _analyze_suite()
-        finally:
-            perf.set_dep_screen(None)
-
-    assert benchmark(probe) > 0
-
-
-def test_whole_suite_unscreened(benchmark):
-    """The same sweep with the screen pinned off, for the ratio."""
-
-    def probe():
-        perf.set_dep_screen(False)
-        try:
-            return _analyze_suite()
-        finally:
-            perf.set_dep_screen(None)
-
-    assert benchmark(probe) > 0
-
-
-def test_whole_program_analysis_unscreened(benchmark):
-    """hydro2d with the screen pinned off — the pre-screen baseline of
-    ``test_whole_program_analysis``."""
-    bench_prog = get_program("hydro2d")
-
-    def probe():
-        perf.set_dep_screen(False)
-        try:
-            return analyze_program(
-                bench_prog.fresh_program(), AnalysisOptions.predicated()
-            )
-        finally:
-            perf.set_dep_screen(None)
-
-    result = benchmark(probe)
-    assert result.total_loops > 0
+    """All 30 programs through the screened pipeline."""
+    assert benchmark(_analyze_suite) > 0
 
 
 def test_screen_saves_projection_work():
     """Not a timing: the screen's saved-work counter must fire on the
     suite (elided loop projections and skipped unit walks)."""
-    perf.set_dep_screen(True)
     try:
         perf.reset_all_caches()
         perf.reset_counters()
         _analyze_suite()
         counters = perf.snapshot()["counters"]
     finally:
-        perf.set_dep_screen(None)
         perf.reset_all_caches()
     assert counters["screen.saved_units"] > 0
     assert counters["screen.independent"] > 0

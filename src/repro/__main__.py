@@ -29,10 +29,9 @@ door over the persistent job queue and a worker fleet (see
 ``--max-wall``/``--max-ops``/``--max-fm`` bound one request's resources
 (exhaustion degrades the answer soundly instead of failing).
 
-``analyze`` runs the pass pipeline serially (``REPRO_PIPELINE=0``
-selects the legacy monolithic path); ``--explain-pipeline`` dumps the
-pass graph, the per-unit schedule and per-pass timings as JSON.  The
-execution model is documented in ``docs/EXECUTION.md``.
+``analyze`` runs the pass pipeline serially; ``--explain-pipeline``
+dumps the pass graph, the per-unit schedule and per-pass timings as
+JSON.  The execution model is documented in ``docs/EXECUTION.md``.
 
 The module is a small subcommand registry: each command contributes a
 ``(name, help, configure, run)`` record via :func:`command`, and
@@ -161,7 +160,7 @@ def _cmd_analyze(args) -> int:
     from repro.codegen.report import format_report
     from repro.lang.parser import parse_program
     from repro.lang.prettyprint import pretty
-    from repro.pipeline import pipeline_enabled, run_pipeline
+    from repro.pipeline import run_pipeline
     from repro.service import Budget, budget_scope, default_cache
     from repro.service import set_default_cache_dir
 
@@ -177,40 +176,20 @@ def _cmd_analyze(args) -> int:
     )
     goals = ("result", "transformed") if args.emit else ("result",)
     with budget_scope(budget):
-        if pipeline_enabled():
-            ctx = run_pipeline(
-                program,
-                opts,
-                cache=default_cache(),
-                goals=goals,
-                explain=args.explain_pipeline,
-            )
-            result = ctx.get("result")
-            transformed = ctx.get("transformed") if args.emit else None
-        else:
-            from repro.codegen.plan import build_plan
-            from repro.codegen.twoversion import transform_program
-            from repro.partests.driver import analyze_program
-
-            ctx = None
-            result = analyze_program(program, opts, cache=default_cache())
-            transformed = (
-                transform_program(program, build_plan(result))
-                if args.emit
-                else None
-            )
+        ctx = run_pipeline(
+            program,
+            opts,
+            cache=default_cache(),
+            goals=goals,
+            explain=args.explain_pipeline,
+        )
+    result = ctx.get("result")
     print(format_report(result, title=args.file))
-    if transformed is not None:
+    if args.emit:
         print()
-        print(pretty(transformed))
+        print(pretty(ctx.get("transformed")))
     if args.explain_pipeline:
-        if ctx is not None and ctx.explain is not None:
-            print(json.dumps(ctx.explain, indent=2, sort_keys=True))
-        else:
-            print(
-                '{"error": "pipeline disabled (REPRO_PIPELINE=0): '
-                'nothing to explain"}'
-            )
+        print(json.dumps(ctx.explain, indent=2, sort_keys=True))
     if args.profile:
         _print_profile()
     return 0

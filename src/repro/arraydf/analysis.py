@@ -141,7 +141,7 @@ class ArrayDataflow:
     ):
         """*propagated* marks *program* as already scalar-propagated (the
         pipeline runs propagation as its own pass); without it the
-        walker propagates here, exactly as the legacy entry point did."""
+        walker propagates here."""
         self.opts = opts or AnalysisOptions.predicated()
         if self.opts.scalar_propagation and not propagated:
             from repro.ir.scalarprop import propagate_scalars
@@ -163,8 +163,8 @@ class ArrayDataflow:
         #: per-unit labels of loops whose iteration-space projection may
         #: be elided (tier-0 screen proved them independent *and* the
         #: unit is caller-free, so nothing reads the projected value);
-        #: populated by the pipeline's screen pass — empty for the
-        #: legacy path, which always walks in full
+        #: populated by the pipeline's screen pass — empty when the
+        #: engine runs on its own (:meth:`run`), which walks in full
         self.screen_hints: Dict[str, frozenset] = {}
         self._stats = {"feasibility_calls": 0}
 

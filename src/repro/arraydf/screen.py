@@ -32,8 +32,8 @@ condition ``TRUE``, per-array verdicts ``ArrayVerdict(a, TRUE,
 FALSE)``), letting the pipeline skip region summarization for units it
 covers completely (see :class:`repro.pipeline.passes.ScreenPass`).
 
-The screen never consults budgets — it is pure syntax — and is gated by
-``REPRO_DEP_SCREEN`` / :func:`repro.perf.set_dep_screen` (default on).
+The screen never consults budgets — it is pure syntax — and always
+runs.
 """
 
 from __future__ import annotations
@@ -352,7 +352,9 @@ def screen_unit(unit: Subroutine, symtab) -> UnitScreen:
 
 
 def empty_screen(unit_name: str) -> UnitScreen:
-    """The screen-disabled result: nothing screened, nothing skipped."""
+    """A screen that settles nothing: every loop goes to the full
+    analysis (the unscreened reference the soundness tests compare
+    against)."""
     return UnitScreen(
         unit_name=unit_name, verdicts={}, rows={}, order=[], full_cover=False
     )

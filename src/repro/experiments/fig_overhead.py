@@ -22,7 +22,7 @@ wall-clock figure reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro import perf
 from repro.arraydf.options import AnalysisOptions
@@ -109,23 +109,11 @@ class FigOverhead:
         return out
 
 
-def _inspector_cost(
-    bench, label: str, expected_mode: Optional[bool] = None
-) -> int:
+def _inspector_cost(bench, label: str) -> int:
     """Elements an inspector would shadow: the dynamic access count of
     the loop's arrays (measured with the ELPD instrumentation itself)."""
     from repro.runtime.elpd import run_elpd
 
-    if expected_mode is not None and perf.bytecode_enabled() != expected_mode:
-        # the test-atom and inspector columns form a ratio; both sides
-        # must come from the interpreter mode the driver captured, or a
-        # worker drifting to another REPRO_BYTECODE setting would mix
-        # measurement regimes in one table
-        raise RuntimeError(
-            "fig_overhead: ELPD measurement running with "
-            f"bytecode={perf.bytecode_enabled()} but the driver captured "
-            f"bytecode={expected_mode}"
-        )
     rep = run_elpd(bench.fresh_program(), bench.inputs, target_labels=[label])
     obs = rep.observations.get(label)
     if obs is None:
@@ -134,16 +122,19 @@ def _inspector_cost(
 
 
 def _measured_ops(bench, opts: AnalysisOptions):
-    """(result, substrate op count) of one cold-cache analysis."""
+    """(result, substrate op count) of one cold-cache analysis.
+
+    The count is the rise in :func:`repro.perf.total_ops` across the
+    analysis; counters recorded before it keep their values.
+    """
     perf.reset_all_caches()
-    perf.reset_counters()
+    before = perf.total_ops()
     result = analyze_program(bench.fresh_program(), opts)
-    return result, perf.total_ops()
+    return result, perf.total_ops() - before
 
 
-def _program_cost(item) -> ProgramCost:
+def _program_cost(name: str) -> ProgramCost:
     """Self-contained per-program worker (picklable; runs in a pool)."""
-    name, expected_mode = item
     bench = get_program(name)
     _, base_ops = _measured_ops(bench, AnalysisOptions.base())
     pred, pred_ops = _measured_ops(bench, AnalysisOptions.predicated())
@@ -155,7 +146,7 @@ def _program_cost(item) -> ProgramCost:
                     bench.name,
                     l.label,
                     l.runtime_cost,
-                    _inspector_cost(bench, l.label, expected_mode),
+                    _inspector_cost(bench, l.label),
                 )
             )
     return cost
@@ -166,10 +157,7 @@ def run(jobs: int = 1) -> FigOverhead:
     per_suite: Dict[str, SuiteCost] = {
         s: SuiteCost(s) for s in SUITE_NAMES
     }
-    # every worker must measure under the interpreter mode captured
-    # here, whatever process it lands in
-    mode = perf.bytecode_enabled()
-    names = [(b.name, mode) for b in all_programs()]
+    names = [b.name for b in all_programs()]
     for cost in parallel_map(_program_cost, names, jobs):
         per_suite[cost.suite].base_ops += cost.base_ops
         per_suite[cost.suite].predicated_ops += cost.predicated_ops

@@ -15,30 +15,23 @@ additionally applies gcd-based integer tightening to every produced
 inequality, which recovers exactness for the common single-variable cases
 (e.g. ``2*i <= 5`` becomes ``i <= 2``).
 
-Both :func:`eliminate` and :func:`eliminate_all` are memoized on the
-interned identity of their arguments; region projection repeatedly
-eliminates the same loop indices from the same systems, and the memo
-turns those repeats into dictionary lookups.
-
-Two kernels implement the projection itself.  The **packed** kernel
-(:mod:`repro.linalg.packed`, the default) lowers the system once into a
-dense integer-matrix form and runs the whole pipeline there, re-interning
-only final results; the **legacy** kernel below materializes interned
-symbolic objects for every intermediate bound pair.  Both produce
-pointer-identical results and identical ``fm.*`` counter deltas; the
-switch is ``REPRO_PACKED_KERNEL`` / :func:`repro.perf.set_packed_kernel`.
+The projection itself runs in the packed integer-matrix kernel
+(:mod:`repro.linalg.packed`): it lowers the system once into a dense
+integer form, eliminates there, and re-interns only final results.
+Region projection repeatedly eliminates the same loop indices from the
+same systems, so both entry points are memoized: :func:`eliminate_all`
+on the interned identity of its arguments (``fm.eliminate_all``), each
+single step on its packed form (``fm.packed.reuse``).
 """
 
 from __future__ import annotations
 
 import warnings
 from contextlib import contextmanager
-from typing import Iterable, List, Tuple
+from typing import Iterable
 
 from repro import perf
-from repro.linalg.constraint import Constraint, Rel
 from repro.linalg.system import LinearSystem
-from repro.service.budgets import charge_fm
 
 # Pair-combination blowup guard: systems beyond this many constraints fall
 # back to dropping the variable's constraints entirely (a coarser but still
@@ -50,7 +43,6 @@ MAX_CONSTRAINTS = 600
 # canonical forms (and rendered predicates) match the unswept pipeline.
 SIMPLIFY_THRESHOLD = 32
 
-_ELIM = perf.memo_table("fm.eliminate", cap=8192)
 _ELIM_ALL = perf.memo_table("fm.eliminate_all", cap=8192)
 
 perf.declare("fm.fallback_drop")
@@ -155,35 +147,8 @@ def _note_fallback(var: str, n_pairs: int) -> None:
             warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
-def _split_bounds(
-    system: LinearSystem, var: str
-) -> Tuple[List[Constraint], List[Constraint], List[Constraint], List[Constraint]]:
-    """Partition constraints by their relation to *var*.
-
-    Returns (lower bounds, upper bounds, equalities containing var,
-    constraints not mentioning var).  For a ``<=`` constraint
-    ``a*var + rest <= 0``: ``a > 0`` makes it an upper bound on var,
-    ``a < 0`` a lower bound.
-    """
-    lowers: List[Constraint] = []
-    uppers: List[Constraint] = []
-    eqs: List[Constraint] = []
-    others: List[Constraint] = []
-    for c in system:
-        a = c.expr.coeff(var)
-        if a == 0:
-            others.append(c)
-        elif c.rel is Rel.EQ:
-            eqs.append(c)
-        elif a > 0:
-            uppers.append(c)
-        else:
-            lowers.append(c)
-    return lowers, uppers, eqs, others
-
-
 def eliminate(system: LinearSystem, var: str) -> LinearSystem:
-    """Project *var* out of *system* (memoized).
+    """Project *var* out of *system* (memoized per packed step).
 
     Strategy: if an equality pins ``var`` with a unit coefficient, solve
     and substitute (exact over the integers).  Otherwise rewrite remaining
@@ -192,75 +157,7 @@ def eliminate(system: LinearSystem, var: str) -> LinearSystem:
     """
     if var not in system.variables():
         return system
-    if perf.packed_kernel_enabled():
-        # the packed kernel keeps its own per-step memo (fm.packed.reuse)
-        # keyed on the canonical packed form, bijective with (system, var)
-        return _packed().eliminate_packed(system, var)
-    key = (system, var)
-    cached = _ELIM.data.get(key)
-    if cached is not None:
-        _ELIM.hits += 1
-        return cached
-    _ELIM.misses += 1
-    result = _eliminate_uncached(system, var)
-    _ELIM.data[key] = result
-    return result
-
-
-def _eliminate_uncached(system: LinearSystem, var: str) -> LinearSystem:
-    perf.bump("fm.eliminate")
-    lowers, uppers, eqs, others = _split_bounds(system, var)
-
-    # Exact substitution via a unit-coefficient equality.
-    from repro.symbolic.affine import AffineExpr
-
-    for eq in eqs:
-        a = eq.expr.coeff(var)
-        if abs(a) == 1:
-            # a*var + rest == 0  =>  var = -rest/a  (a is ±1)
-            rest = eq.expr + AffineExpr.var(var, -a)
-            solution = -rest if a == 1 else rest
-            remaining = [c for c in system if c is not eq]
-            return LinearSystem(
-                c.substitute({var: solution}) for c in remaining
-            )
-
-    # Demote equalities to inequality pairs.
-    for eq in eqs:
-        a = eq.expr.coeff(var)
-        le = Constraint(eq.expr, Rel.LE)
-        ge = Constraint(-eq.expr, Rel.LE)
-        if a > 0:
-            uppers.append(le)
-            lowers.append(ge)
-        else:
-            lowers.append(le)
-            uppers.append(ge)
-
-    n_pairs = len(lowers) * len(uppers)
-    if n_pairs > MAX_CONSTRAINTS * 4:
-        # Combinatorial blowup: drop the variable's constraints (sound
-        # superset).  In practice region systems stay tiny.
-        _note_fallback(var, n_pairs)
-        return LinearSystem(others)
-
-    charge_fm(n_pairs)
-    combined: List[Constraint] = list(others)
-    for lo in lowers:
-        a_lo = lo.expr.coeff(var)  # negative
-        for up in uppers:
-            a_up = up.expr.coeff(var)  # positive
-            # lo: a_lo*var + r_lo <= 0  =>  var >= r_lo / (-a_lo)
-            # up: a_up*var + r_up <= 0  =>  var <= -r_up / a_up
-            # combine: a_up * r_lo - a_lo * r_up <= 0 (note -a_lo > 0)
-            new_expr = lo.expr * a_up - up.expr * a_lo
-            # the var terms cancel: a_lo*a_up - a_up*a_lo = 0
-            combined.append(Constraint(new_expr, Rel.LE))
-    perf.bump("fm.pair_combine", n_pairs)
-    result = LinearSystem(combined)
-    if len(result) > MAX_CONSTRAINTS:
-        result = result.simplified()
-    return result
+    return _packed().eliminate_packed(system, var)
 
 
 def eliminate_all(system: LinearSystem, variables: Iterable[str]) -> LinearSystem:
@@ -280,46 +177,6 @@ def eliminate_all(system: LinearSystem, variables: Iterable[str]) -> LinearSyste
         _ELIM_ALL.hits += 1
         return cached
     _ELIM_ALL.misses += 1
-    if perf.packed_kernel_enabled():
-        current = _packed().eliminate_all_packed(system, todo0)
-    else:
-        current = _eliminate_all_legacy(system, todo0)
+    current = _packed().eliminate_all_packed(system, todo0)
     _ELIM_ALL.data[key] = current
-    return current
-
-
-def _eliminate_all_legacy(
-    system: LinearSystem, todo0: Tuple[str, ...]
-) -> LinearSystem:
-    todo = list(todo0)
-    current = system
-    while todo:
-        # re-rank each round: elimination changes occurrence counts
-        live = current.variables()
-        todo = [v for v in todo if v in live]
-        if not todo:
-            break
-        costs = {}
-        for v in todo:
-            n_lo = n_up = 0
-            unit_eq = False
-            for c in current:
-                a = c.expr.coeff(v)
-                if a == 0:
-                    continue
-                if c.rel is Rel.EQ:
-                    if abs(a) == 1:
-                        unit_eq = True
-                    n_lo += 1
-                    n_up += 1
-                elif a > 0:
-                    n_up += 1
-                else:
-                    n_lo += 1
-            costs[v] = (0 if unit_eq else 1, n_lo * n_up)
-        todo.sort(key=lambda v: (costs[v], v))
-        var = todo.pop(0)
-        current = eliminate(current, var)
-        if len(current) > SIMPLIFY_THRESHOLD:
-            current = current.simplified()
     return current

@@ -1,10 +1,9 @@
 """Packed integer-matrix Fourier–Motzkin kernel.
 
-The legacy kernel in :mod:`repro.linalg.fourier_motzkin` materializes a
-fully interned :class:`~repro.symbolic.affine.AffineExpr` +
-:class:`~repro.linalg.constraint.Constraint` +
+Materializing a fully interned :class:`~repro.symbolic.affine.AffineExpr`
++ :class:`~repro.linalg.constraint.Constraint` +
 :class:`~repro.linalg.system.LinearSystem` object for every intermediate
-bound pair, so elimination time is dominated by object construction and
+bound pair would make elimination time object construction and
 intern-table traffic rather than arithmetic.  This module lowers an
 interned system **once** into a packed dense form — a shared variable
 order plus rows of plain integer coefficients — and runs the whole
@@ -15,8 +14,8 @@ the min-pair-product elimination-order heuristic, the
 form, re-interning ``Constraint``/``LinearSystem`` objects only for the
 final projected system.
 
-**Identical-results contract.**  Every helper here is a line-for-line
-mirror of one normalization step of the symbolic path:
+**Canonical-form contract.**  Every normalization helper here is a
+line-for-line mirror of one step of the symbolic constructors:
 
 * ``_norm_le_row`` ≡ :func:`repro.symbolic.simplify.tighten_le` (content-1
   scaling plus gcd tightening with a floored constant);
@@ -25,18 +24,16 @@ mirror of one normalization step of the symbolic path:
   contradiction detection);
 * ``_canon``       ≡ ``LinearSystem.__new__`` canonicalization
   (taut/contra folding, dedup, sort by the constraint sort key);
-* ``_simplify_rows`` ≡ ``LinearSystem.simplified``;
-* ``_eliminate_rows`` ≡ ``fourier_motzkin._eliminate_uncached`` including
-  the ``MAX_CONSTRAINTS`` fallback-drop semantics, ``charge_fm`` budget
-  checkpoints and ``fm.eliminate``/``fm.pair_combine``/
-  ``fm.fallback_drop`` counter accounting.
+* ``_simplify_rows`` ≡ ``LinearSystem.simplified``.
 
-Because the mirrored pipeline produces the same canonical constraint
-tuples at every materialization boundary, lifting the final packed form
-back through the hash-consing constructors yields **pointer-equal**
-interned results — experiment tables, cached summaries and rendered
-predicates are byte-identical with the kernel on or off
-(``REPRO_PACKED_KERNEL`` / :func:`repro.perf.set_packed_kernel`).
+Because the packed pipeline produces the same canonical constraint
+tuples at every materialization boundary, lifting a packed form back
+through the hash-consing constructors yields the **pointer-equal**
+interned system, so cached summaries and rendered predicates do not
+depend on which representation computed them.  ``_eliminate_rows``
+keeps the ``MAX_CONSTRAINTS`` fallback-drop semantics, the
+``charge_fm`` budget checkpoints and the ``fm.eliminate`` /
+``fm.pair_combine`` / ``fm.fallback_drop`` counters.
 
 Memo tables (registered with :mod:`repro.perf`):
 
@@ -47,11 +44,8 @@ Memo tables (registered with :mod:`repro.perf`):
     the same value are dictionary lookups;
 ``fm.packed.reuse``
     per-step elimination results keyed on ``(canonical packed form,
-    variable)``.  The key is a pure function of the underlying constraint
-    set, exactly like the legacy ``fm.eliminate`` key on the interned
-    intermediate system, so the packed path reuses work across queries
-    with the same hit/miss structure — which is what keeps per-call
-    ``fm.*`` counter deltas identical between the two kernels.
+    variable)``.  The key is a pure function of the underlying
+    constraint set, so the kernel reuses work across queries.
 """
 
 from __future__ import annotations
@@ -224,7 +218,7 @@ def lift(packed: Packed) -> LinearSystem:
 
     Rows are already normalized and canonically ordered, so the interning
     constructors are no-op re-normalizations and the result is pointer
-    equal to what the legacy pipeline would have produced.
+    equal to interning the same constraints directly.
     """
     cached = _LOWER.data.get(packed)
     if cached is not None:
@@ -266,7 +260,8 @@ def _combine_pairs(
 
 
 def _eliminate_rows(packed: Packed, var: str) -> Packed:
-    """Mirror of ``fourier_motzkin._eliminate_uncached`` on packed rows."""
+    """One Fourier–Motzkin step on packed rows (see
+    :func:`repro.linalg.fourier_motzkin.eliminate`)."""
     perf.bump("fm.eliminate")
     vars_, rows = packed
     vi = vars_.index(var)
@@ -337,8 +332,7 @@ def _eliminate_rows(packed: Packed, var: str) -> Packed:
     n_pairs = len(lowers) * len(uppers)
     if n_pairs > MAX_CONSTRAINTS * 4:
         # Combinatorial blowup: drop the variable's constraints (sound
-        # superset) — same fallback, warning and counters as the legacy
-        # kernel.
+        # superset), warned once per analysis context.
         _note_fallback(var, n_pairs)
         return _canon(vars_, others)
 
@@ -409,10 +403,10 @@ def eliminate_all_packed(
     """Packed-kernel body of
     :func:`~repro.linalg.fourier_motzkin.eliminate_all`.
 
-    Same cheapest-first heuristic as the legacy loop (unit-coefficient
-    equalities first, then minimal lower×upper pair product, ties by
-    name), same ``SIMPLIFY_THRESHOLD`` sweep between rounds; the caller
-    owns the ``fm.eliminate_all`` memo.
+    Cheapest-first order (unit-coefficient equalities first, then
+    minimal lower×upper pair product, ties by name), re-ranked every
+    round, with the ``SIMPLIFY_THRESHOLD`` sweep between rounds; the
+    caller owns the ``fm.eliminate_all`` memo.
     """
     current = lower(system)
     todo = list(todo0)

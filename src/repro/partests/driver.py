@@ -32,7 +32,6 @@ The driver carries the serving-substrate hooks through the pipeline:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -48,7 +47,7 @@ from repro.partests.runtime_tests import (
 )
 from repro.predicates.formula import Predicate, TRUE
 from repro.service.budgets import BudgetExceeded
-from repro.service.cache import SummaryCache, program_key
+from repro.service.cache import SummaryCache
 
 
 @dataclass
@@ -125,10 +124,7 @@ class ParallelizationDriver:
     :meth:`run` is a thin shim over the pass pipeline
     (:func:`repro.pipeline.run_pipeline`): scalar propagation, the
     array data-flow walk, per-loop decisions and the enclosed marking
-    all execute as passes, serially.  :meth:`run_legacy` keeps the
-    original monolithic path — the pinned reference the integration
-    tests compare the pipeline against, also selectable process-wide
-    via ``REPRO_PIPELINE=0``.
+    all execute as passes, serially.
     """
 
     def __init__(
@@ -143,10 +139,8 @@ class ParallelizationDriver:
         self._degraded = False
 
     def run(self) -> ProgramResult:
-        from repro.pipeline import pipeline_enabled, run_pipeline
+        from repro.pipeline import run_pipeline
 
-        if not pipeline_enabled():
-            return self.run_legacy()
         ctx = run_pipeline(self.program, self.opts, cache=self.cache)
         self._degraded = ctx.degraded or bool(
             ctx.has("engine") and ctx.engine.tainted_units
@@ -164,54 +158,6 @@ class ParallelizationDriver:
         concurrent jobs would cross-contaminate.
         """
         return self._degraded
-
-    def run_legacy(self) -> ProgramResult:
-        start = time.perf_counter()
-        # program-level fast path: when nothing changed, one load covers
-        # the whole pipeline (no scalar propagation, no data-flow walk);
-        # an edit anywhere falls through to the per-unit incremental path
-        pkey = None
-        if self.cache is not None:
-            pkey = program_key(self.program, self.opts)
-            payload = self.cache.load(pkey, "program")
-            if payload is not None:
-                with perf.phase("driver.rebind"):
-                    result = self._rebind_program(payload)
-                if result is not None:
-                    result.analysis_seconds = time.perf_counter() - start
-                    return result
-
-        with perf.phase("driver.arraydf"):
-            dataflow = ArrayDataflow(
-                self.program, self.opts, cache=self.cache
-            ).run()
-        if dataflow.tainted_units:
-            self._degraded = True
-        result = ProgramResult(self.program, self.opts)
-
-        unit_rows: List = []
-        with perf.phase("driver.decide"):
-            for unit_name, unit in self.program.units.items():
-                summary = dataflow.units[unit_name]
-                symtab = dataflow.symtabs[unit_name]
-                decided = self._decide_unit(
-                    dataflow, unit_name, summary, symtab
-                )
-                unit_rows.append((unit_name, decided))
-                result.loops.extend(decided)
-            self._mark_enclosed(result)
-        if (
-            self.cache is not None
-            and not self._degraded
-            and not dataflow.tainted_units
-        ):
-            self.cache.store(
-                pkey,
-                "program",
-                [(name, _decision_rows(rows)) for name, rows in unit_rows],
-            )
-        result.analysis_seconds = time.perf_counter() - start
-        return result
 
     def _rebind_program(self, payload) -> Optional[ProgramResult]:
         """Reattach a cached whole-program payload to the current parse.
@@ -240,25 +186,8 @@ class ParallelizationDriver:
                 result.loops.extend(rebound)
         except (TypeError, ValueError):
             return None
-        self._mark_enclosed(result)
-        return result
-
-    def _decide_unit(
-        self, dataflow: ArrayDataflow, unit_name: str, summary, symtab
-    ) -> List[LoopResult]:
-        out, degraded = decide_unit(
-            dataflow, unit_name, summary, symtab, self.opts, self.cache
-        )
-        if degraded:
-            self._degraded = True
-        return out
-
-    # ------------------------------------------------------------------
-    def _decide(self, summary: LoopSummary, symtab) -> LoopResult:
-        return decide_loop(summary, symtab, self.opts)
-
-    def _mark_enclosed(self, result: ProgramResult) -> None:
         mark_enclosed(result)
+        return result
 
 
 def decide_unit(

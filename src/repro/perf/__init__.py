@@ -18,29 +18,21 @@ from repro.perf.counters import (
     analysis_context,
     bump,
     bump_epoch,
-    bytecode_enabled,
     counter,
     current_context,
     declare,
-    dep_screen_enabled,
     enforce_memo_caps,
     epoch,
     exempt_cache,
     memo_caps,
     memo_table,
     on_reset,
-    packed_kernel_enabled,
     phase,
-    pred_oracle_enabled,
     register_cache,
     registered_names,
     reset_all_caches,
     reset_counters,
-    set_bytecode,
-    set_dep_screen,
     set_memo_cap,
-    set_packed_kernel,
-    set_pred_oracle,
     snapshot,
     snapshot_delta,
     snapshot_max,
@@ -56,29 +48,21 @@ __all__ = [
     "analysis_context",
     "bump",
     "bump_epoch",
-    "bytecode_enabled",
     "counter",
     "current_context",
     "declare",
-    "dep_screen_enabled",
     "enforce_memo_caps",
     "epoch",
     "exempt_cache",
     "memo_caps",
     "memo_table",
     "on_reset",
-    "packed_kernel_enabled",
     "phase",
-    "pred_oracle_enabled",
     "register_cache",
     "registered_names",
     "reset_all_caches",
     "reset_counters",
-    "set_bytecode",
-    "set_dep_screen",
     "set_memo_cap",
-    "set_packed_kernel",
-    "set_pred_oracle",
     "snapshot",
     "snapshot_delta",
     "snapshot_max",

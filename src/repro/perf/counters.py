@@ -15,7 +15,6 @@ it, never the other way around.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -233,14 +232,13 @@ def reset_all_caches() -> None:
 # ----------------------------------------------------------------------
 # One monotonic integer versions every process-wide cache in the
 # substrate: memo/intern tables and the predicate-oracle tiers.
-# Anything that can change what those caches would hold — a
-# semantic-knob flip, a cache reset — bumps it; batch pool workers
-# compare the epoch shipped with each chunk against the one their warm
-# state was built under and drop everything on a mismatch.  That is the
-# entire invalidation story for the warm fleet: state is valid exactly
-# as long as the epoch it was built under is current.  (Budgets need no
-# bump: they ship per chunk and degraded results are never cached —
-# pinned by tests/pipeline/test_warm_fleet.py.)
+# :func:`reset_all_caches` is the only thing that bumps it; batch pool
+# workers compare the epoch shipped with each chunk against the one
+# their warm state was built under and drop everything on a mismatch.
+# That is the entire invalidation story for the warm fleet: state is
+# valid exactly as long as the epoch it was built under is current.
+# (Budgets need no bump: they ship per chunk and degraded results are
+# never cached — pinned by tests/pipeline/test_warm_fleet.py.)
 
 _epoch = 0
 
@@ -256,141 +254,6 @@ def bump_epoch() -> int:
     _epoch += 1
     bump("perf.epoch_bumps")
     return _epoch
-
-
-# ----------------------------------------------------------------------
-# predicate-oracle switch
-# ----------------------------------------------------------------------
-# The tiered predicate oracle (repro.predicates.oracle) and its caches
-# are pure cost optimizations: enabled or disabled, every query returns
-# the same boolean.  The switch lives here — not in the predicates
-# package — so lower layers (linalg's entailment cache) can consult it
-# without importing upward.  Controlled by the REPRO_PRED_ORACLE
-# environment variable ("0"/"off"/"false"/"no" disable) or
-# programmatically via set_pred_oracle().
-
-_pred_oracle: Optional[bool] = None
-
-
-def pred_oracle_enabled() -> bool:
-    """Is the tiered predicate oracle (and its caches) enabled?"""
-    global _pred_oracle
-    if _pred_oracle is None:
-        raw = os.environ.get("REPRO_PRED_ORACLE", "1").strip().lower()
-        _pred_oracle = raw not in ("0", "off", "false", "no")
-    return _pred_oracle
-
-
-def set_pred_oracle(enabled: Optional[bool]) -> None:
-    """Force the oracle on/off; ``None`` re-reads the environment."""
-    global _pred_oracle
-    if _pred_oracle != enabled:
-        bump_epoch()  # knob change: warm fleets must not serve old-knob memos
-    _pred_oracle = enabled
-
-
-# ----------------------------------------------------------------------
-# packed-kernel switch
-# ----------------------------------------------------------------------
-# The packed Fourier–Motzkin kernel (repro.linalg.packed) runs variable
-# elimination on flat integer coefficient rows instead of interned
-# AffineExpr/Constraint/LinearSystem objects.  It is a pure cost
-# optimization: on or off, every projected system, feasibility answer
-# and fm.* counter is identical.  The switch lives here — not in the
-# linalg package — for the same reason as the oracle switch: the
-# dependency-free perf layer is importable from anywhere.  Controlled by
-# the REPRO_PACKED_KERNEL environment variable ("0"/"off"/"false"/"no"
-# disable) or programmatically via set_packed_kernel().
-
-_packed_kernel: Optional[bool] = None
-
-
-def packed_kernel_enabled() -> bool:
-    """Is the packed Fourier–Motzkin kernel enabled?"""
-    global _packed_kernel
-    if _packed_kernel is None:
-        raw = os.environ.get("REPRO_PACKED_KERNEL", "1").strip().lower()
-        _packed_kernel = raw not in ("0", "off", "false", "no")
-    return _packed_kernel
-
-
-def set_packed_kernel(enabled: Optional[bool]) -> None:
-    """Force the packed kernel on/off; ``None`` re-reads the environment."""
-    global _packed_kernel
-    if _packed_kernel != enabled:
-        bump_epoch()
-    _packed_kernel = enabled
-
-
-# ----------------------------------------------------------------------
-# bytecode-runtime switch
-# ----------------------------------------------------------------------
-# The bytecode runtime (repro.runtime.bytecode) compiles each program
-# unit once into pre-bound closures — with a NumPy-vectorized fast path
-# for eligible inner loops — and the ELPD oracle packs its shadow state
-# into parallel int columns with bulk conflict checks.  It is a pure
-# cost optimization: on or off, every ExecutionResult (outputs, steps,
-# scalars, arrays, loop events) and every ELPD verdict is identical.
-# The switch lives here for the same reason as the kernel switches: the
-# dependency-free perf layer is importable from anywhere (the runtime
-# *and* the ELPD layer gate on it without importing each other).
-# Controlled by the REPRO_BYTECODE environment variable
-# ("0"/"off"/"false"/"no" disable) or programmatically via
-# set_bytecode().
-
-_bytecode: Optional[bool] = None
-
-
-def bytecode_enabled() -> bool:
-    """Is the bytecode runtime (and the packed ELPD shadow) enabled?"""
-    global _bytecode
-    if _bytecode is None:
-        raw = os.environ.get("REPRO_BYTECODE", "1").strip().lower()
-        _bytecode = raw not in ("0", "off", "false", "no")
-    return _bytecode
-
-
-def set_bytecode(enabled: Optional[bool]) -> None:
-    """Force the bytecode runtime on/off; ``None`` re-reads the environment."""
-    global _bytecode
-    if _bytecode != enabled:
-        bump_epoch()
-    _bytecode = enabled
-
-
-# ----------------------------------------------------------------------
-# dependence-screen switch
-# ----------------------------------------------------------------------
-# The tier-0 dependence screen (repro.arraydf.screen) classifies each
-# loop's array accesses with cheap syntactic/affine facts before the
-# predicated analysis runs; loops it proves independent skip region
-# summarization and get a pre-made parallel decision.  It is a pure
-# cost optimization: on or off, every decision row, plan and experiment
-# table is identical — the screen only fires where the full analysis
-# provably agrees.  The switch lives here for the same reason as the
-# kernel switches: the dependency-free perf layer is importable from
-# anywhere.  Controlled by the REPRO_DEP_SCREEN environment variable
-# ("0"/"off"/"false"/"no" disable) or programmatically via
-# set_dep_screen().
-
-_dep_screen: Optional[bool] = None
-
-
-def dep_screen_enabled() -> bool:
-    """Is the tier-0 dependence screen enabled?"""
-    global _dep_screen
-    if _dep_screen is None:
-        raw = os.environ.get("REPRO_DEP_SCREEN", "1").strip().lower()
-        _dep_screen = raw not in ("0", "off", "false", "no")
-    return _dep_screen
-
-
-def set_dep_screen(enabled: Optional[bool]) -> None:
-    """Force the dependence screen on/off; ``None`` re-reads the environment."""
-    global _dep_screen
-    if _dep_screen != enabled:
-        bump_epoch()
-    _dep_screen = enabled
 
 
 def bump(name: str, n: int = 1) -> None:

@@ -1,26 +1,19 @@
 """The unified pass pipeline.
 
-One explicit compile flow replaces the legacy monolithic driver:
-:func:`run_pipeline` builds a
+One explicit compile flow: :func:`run_pipeline` builds a
 :class:`~repro.pipeline.context.ProgramContext`, schedules the passes of
 :func:`~repro.pipeline.passes.analysis_passes` serially under a
 :class:`~repro.pipeline.manager.PassManager`, and returns the context.
 :func:`run_pipeline_batch` is the only fan-out: whole programs across
 worker threads or the shared process pool, byte-identical to a serial
 loop.
-
-The pipeline is the default.  ``REPRO_PIPELINE=0`` (or
-:func:`set_pipeline`) routes the public entry points back through the
-legacy monolithic path, which is kept verbatim as the pinned reference
-the integration tests compare against.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro import perf
 from repro.arraydf.options import AnalysisOptions
@@ -66,40 +59,11 @@ __all__ = [
     "TwoVersionPass",
     "analysis_passes",
     "executor_kind",
-    "pipeline_enabled",
     "resolve_batch_chunk",
     "resolve_jobs",
     "run_pipeline",
     "run_pipeline_batch",
-    "set_pipeline",
 ]
-
-# ----------------------------------------------------------------------
-# pipeline switch
-# ----------------------------------------------------------------------
-# Like the predicate-oracle switch: environment-controlled with a
-# programmatic override, so the integration tests can pin the pipeline
-# and legacy paths against each other in one process.
-
-_pipeline: Optional[bool] = None
-
-
-def pipeline_enabled() -> bool:
-    """Is the pass pipeline (vs the legacy monolithic path) enabled?"""
-    global _pipeline
-    if _pipeline is None:
-        raw = os.environ.get("REPRO_PIPELINE", "1").strip().lower()
-        _pipeline = raw not in ("0", "off", "false", "no")
-    return _pipeline
-
-
-def set_pipeline(enabled: Optional[bool]) -> None:
-    """Force the pipeline on/off; ``None`` re-reads the environment."""
-    global _pipeline
-    if _pipeline != enabled:
-        perf.bump_epoch()  # knob change invalidates warm fleet state
-    _pipeline = enabled
-
 
 # ----------------------------------------------------------------------
 # entry point
@@ -118,7 +82,7 @@ def run_pipeline(
     cache attached the program-level fast path is honored first: an
     unchanged program loads its whole result in one rebind, scheduling
     nothing upstream; a fresh, undegraded run stores the program payload
-    back, exactly as the legacy driver did.
+    back.
     """
     from repro.partests.driver import ParallelizationDriver, _decision_rows
     from repro.service.cache import program_key
@@ -174,18 +138,9 @@ def run_pipeline(
 def resolve_batch_chunk(
     chunk: Optional[int], n_programs: int, jobs: int
 ) -> int:
-    """Programs per pool task: explicit *chunk*, else ``REPRO_BATCH_CHUNK``,
-    else sized so each worker sees ~4 chunks (load balance) without any
-    chunk growing past 32 programs (latency to first merged result)."""
-    if chunk is None:
-        raw = os.environ.get("REPRO_BATCH_CHUNK", "").strip()
-        if raw:
-            try:
-                chunk = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_BATCH_CHUNK={raw!r} is not an integer"
-                ) from None
+    """Programs per pool task: explicit *chunk*, else sized so each
+    worker sees ~4 chunks (load balance) without any chunk growing past
+    32 programs (latency to first merged result)."""
     if chunk is None:
         chunk = min(32, -(-n_programs // (jobs * 4)))
     return max(1, int(chunk))
@@ -207,10 +162,9 @@ def run_pipeline_batch(
     unit of fan-out: the least data crosses the boundary, and even
     single-procedure programs spread over the pool.  Under
     ``executor="process"`` the batch is coalesced into *chunks* of
-    consecutive programs (*chunk* per pool task; ``REPRO_BATCH_CHUNK``
-    or an auto size otherwise — see :func:`resolve_batch_chunk`), so a
-    stream of tiny programs pays one pickle/queue round trip per chunk
-    instead of per program.  Each chunk runs its programs' full
+    consecutive programs (*chunk* per pool task, or an auto size — see
+    :func:`resolve_batch_chunk`), so a stream of tiny programs pays one
+    pickle/queue round trip per chunk instead of per program.  Each chunk runs its programs' full
     pipelines serially inside a pool worker — on the worker's warm
     substrate, when the fleet is warm — and ships back per-program
     decision rows (the exact payload shape the program-level cache

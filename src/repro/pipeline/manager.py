@@ -9,8 +9,7 @@ artifact wiring:
   units bottom-up over the callgraph
   (:meth:`~repro.ir.callgraph.CallGraph.bottom_up_order`).  A unit's
   inputs declared ``<artifact>@callees`` are therefore always produced
-  before the unit reads them.  This is the legacy driver's exact
-  execution order.
+  before the unit reads them.
 
 One program always runs serially, in this one order.  The only fan-out
 is across whole programs, in

@@ -1,7 +1,6 @@
 """The concrete passes of the parallelization compile flow.
 
-The passes reproduce the legacy monolithic driver exactly — each stage
-is the same code the legacy path runs, lifted behind the declared-I/O
+Each stage of the compile flow sits behind the declared-I/O
 :class:`~repro.pipeline.base.Pass` contract so the
 :class:`~repro.pipeline.manager.PassManager` can schedule it.  The flow:
 
@@ -28,9 +27,9 @@ is the same code the legacy path runs, lifted behind the declared-I/O
 
 Budget boundaries: ``summarize`` checkpoints on entry and degrades a
 tripped unit to the conservative whole-array summary (tainting it out of
-the cache); ``decide`` demotes each tripped loop to ``serial``.  Both
-are the exact legacy semantics — the manager never checkpoints itself,
-so a budget trip can only ever *weaken* answers, never abort a run.
+the cache); ``decide`` demotes each tripped loop to ``serial``.  The
+manager never checkpoints itself, so a budget trip can only ever
+*weaken* answers, never abort a run.
 """
 
 from __future__ import annotations
@@ -89,9 +88,7 @@ class ScreenPass(Pass):
     would need the summary, so called units always summarize).
 
     Cacheable under the unit's own content key (empty callee-key list —
-    the screen never looks across calls).  Disabled (``REPRO_DEP_SCREEN=0`` /
-    ``perf.set_dep_screen(False)``) it emits an empty screen: nothing
-    is skipped and downstream passes run unchanged.
+    the screen never looks across calls).
     """
 
     name = "screen"
@@ -112,16 +109,12 @@ class ScreenPass(Pass):
     @staticmethod
     def _compute(engine, unit: str):
         """Screen one unit, through the engine's cache when attached."""
-        from repro import perf
         from repro.arraydf.screen import (
-            empty_screen,
             rebind_screen,
             screen_payload,
             screen_unit,
         )
 
-        if not perf.dep_screen_enabled():
-            return empty_screen(unit)
         key = ScreenPass._key(engine, unit)
         if key is not None:
             payload = engine.cache.load(key, "screen")

@@ -105,9 +105,7 @@ def conjunct_infeasible(conj: Conjunct) -> bool:
 # The semantic queries delegate to the tiered, memoized oracle
 # (repro.predicates.oracle); the oracle imports this module's ground
 # machinery (to_dnf / conjunct_infeasible), so the reference is resolved
-# lazily to break the cycle.  With the oracle disabled
-# (REPRO_PRED_ORACLE=0) the queries run the original uncached path —
-# either way the booleans are identical.
+# lazily to break the cycle.
 
 _oracle = None
 
@@ -159,18 +157,15 @@ def simplify(pred: Predicate) -> Predicate:
     * unsatisfiable formulas collapse to FALSE; valid ones to TRUE.
 
     Bounded: the global checks only run when the DNF stays small.
-    Memoized (whole-result) while the predicate oracle is enabled.
+    Memoized (whole-result).
     """
-    use_memo = perf.pred_oracle_enabled()
-    if use_memo:
-        hit = _SIMPLIFY.data.get(pred, perf.MISS)
-        if hit is not perf.MISS:
-            _SIMPLIFY.hits += 1
-            return hit
-        _SIMPLIFY.misses += 1
+    hit = _SIMPLIFY.data.get(pred, perf.MISS)
+    if hit is not perf.MISS:
+        _SIMPLIFY.hits += 1
+        return hit
+    _SIMPLIFY.misses += 1
     result = _simplify_uncached(pred)
-    if use_memo:
-        _SIMPLIFY.data[pred] = result
+    _SIMPLIFY.data[pred] = result
     return result
 
 

@@ -17,7 +17,11 @@ for the tested input, which is exactly ELPD's contract.
 
 The implementation shadows every array element (keyed by underlying
 storage buffer and flat offset, so reshaped views alias correctly) for
-each dynamically active instrumented loop.
+each dynamically active instrumented loop.  Per element it tracks the
+first iteration ordinal that touched it, the last one that accessed it
+and the last one that wrote it; an element is a *conflict* when more
+than one iteration touched it and one of them wrote, and a *flow* when
+an iteration's first touch reads a value an earlier iteration wrote.
 """
 
 from __future__ import annotations
@@ -40,85 +44,8 @@ Number = Union[int, float]
 _RANKING = {"not_executed": 0, "independent": 1, "privatizable": 2, "dependent": 3}
 
 
-class _ElementState:
-    """Shadow state of one array element within one loop instance."""
-
-    __slots__ = (
-        "first_ord",
-        "last_access_ord",
-        "last_write_ord",
-        "any_write",
-        "multi_ord",
-        "flow",
-    )
-
-    def __init__(self) -> None:
-        self.first_ord = -1
-        self.last_access_ord = -1
-        self.last_write_ord = -1
-        self.any_write = False
-        self.multi_ord = False
-        self.flow = False
-
-    def access(self, kind: str, ord_: int) -> None:
-        if self.first_ord < 0:
-            self.first_ord = ord_
-        first_in_ord = ord_ != self.last_access_ord
-        if first_in_ord and kind == "r" and 0 <= self.last_write_ord < ord_:
-            # this iteration's first touch reads a value some earlier
-            # iteration wrote: cross-iteration flow
-            self.flow = True
-        if self.last_access_ord >= 0 and ord_ != self.first_ord:
-            self.multi_ord = True
-        self.last_access_ord = ord_
-        if kind == "w":
-            self.any_write = True
-            self.last_write_ord = ord_
-
-    @property
-    def conflicts(self) -> bool:
-        return self.multi_ord and self.any_write
-
-
-class _ActiveInstance:
-    """One dynamic execution of an instrumented loop."""
-
-    __slots__ = ("label", "ordinal", "elements", "array_of")
-
-    def __init__(self, label: str) -> None:
-        self.label = label
-        self.ordinal = -1
-        self.elements: Dict[Tuple[int, int], _ElementState] = {}
-        self.array_of: Dict[int, str] = {}
-
-    def record(self, kind: str, storage: ArrayStorage, offset: int) -> None:
-        if self.ordinal < 0:
-            return  # access outside any iteration (loop bounds eval)
-        key = (id(storage.data), offset)
-        state = self.elements.get(key)
-        if state is None:
-            state = _ElementState()
-            self.elements[key] = state
-            self.array_of[id(storage.data)] = storage.name
-        state.access(kind, self.ordinal)
-
-    def classify(self) -> Tuple[str, Set[str], Set[str]]:
-        conflict_arrays: Set[str] = set()
-        flow_arrays: Set[str] = set()
-        for (buf, _off), st in self.elements.items():
-            if st.flow:
-                flow_arrays.add(self.array_of[buf])
-            elif st.conflicts:
-                conflict_arrays.add(self.array_of[buf])
-        if flow_arrays:
-            return "dependent", conflict_arrays, flow_arrays
-        if conflict_arrays:
-            return "privatizable", conflict_arrays, flow_arrays
-        return "independent", conflict_arrays, flow_arrays
-
-
 # ----------------------------------------------------------------------
-# packed shadow state (REPRO_BYTECODE=1, the default)
+# packed shadow state
 # ----------------------------------------------------------------------
 #: below this element count the scalar classify loop beats the NumPy
 #: bulk masks (fromiter setup cost)
@@ -169,14 +96,13 @@ perf.declare("elpd.shadow.elements")
 class _PackedInstance:
     """Packed shadow state for one dynamic loop instance.
 
-    Replaces one ``_ElementState`` object per touched element with
-    parallel integer columns indexed by a ``(buffer id, flat offset) ->
+    Parallel integer columns indexed by a ``(buffer id, flat offset) ->
     row`` dict: first-ordinal / last-access / last-write columns plus a
     flags column (bit 1 = any_write, bit 2 = multi_ord, bit 4 = flow).
     ``classify`` reduces the flags/bufs columns in bulk with NumPy masks
-    instead of walking per-element objects.  Behaviour is pinned
-    element-for-element against :class:`_ElementState.access` — the
-    differential suites assert identical verdicts with the switch off.
+    when NumPy is installed.  Verdicts are pinned against a per-element
+    dict shadow (``tests/runtime/reference.py``) by the differential
+    suites.
     """
 
     __slots__ = (
@@ -209,7 +135,7 @@ class _PackedInstance:
         key = (buf, offset)
         row = self.index.get(key)
         if row is None:
-            # fresh element: inline _ElementState.access on zero state
+            # fresh element: first touch, no earlier write to read
             self.index[key] = len(self._flags)
             self.array_of[buf] = storage.name
             self._first.append(ord_)
@@ -325,25 +251,22 @@ class ElpdReport:
 class _ElpdHook:
     """Interpreter loop hook feeding the shadow instances."""
 
+    #: shadow state of one loop instance (the differential tests put a
+    #: reference dict shadow here)
+    shadow = _PackedInstance
+
     def __init__(self, targets: Optional[Set[str]]) -> None:
         self.targets = targets
-        self.active: List[_ActiveInstance] = []
+        self.active: List[Optional[_PackedInstance]] = []
         self.report = ElpdReport()
         self._iter_counts: List[int] = []
-        # the packed shadow rides the same switch as the bytecode
-        # engine; captured once so one run never mixes representations
-        self._packed = perf.bytecode_enabled()
 
     def enter_loop(self, stmt, frame, ran_parallel):
         if self.targets is not None and stmt.label not in self.targets:
             self.active.append(None)  # placeholder to keep stack aligned
             self._iter_counts.append(0)
             return len(self.active) - 1
-        if self._packed:
-            inst = _PackedInstance(stmt.label)
-        else:
-            inst = _ActiveInstance(stmt.label)
-        self.active.append(inst)
+        self.active.append(self.shadow(stmt.label))
         self._iter_counts.append(0)
         return len(self.active) - 1
 
@@ -358,12 +281,9 @@ class _ElpdHook:
         iters = self._iter_counts.pop()
         if inst is None:
             return
-        if type(inst) is _PackedInstance:
-            with perf.phase("elpd.shadow"):
-                cls, conflicts, flows = inst.classify()
-            inst.release()
-        else:
+        with perf.phase("elpd.shadow"):
             cls, conflicts, flows = inst.classify()
+        inst.release()
         obs = self.report.observations.setdefault(
             inst.label, LoopObservation(inst.label)
         )

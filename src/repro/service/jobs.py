@@ -28,6 +28,8 @@ degradation and cost.
 
 from __future__ import annotations
 
+import importlib
+import threading
 import time
 from typing import Dict, Optional, Tuple
 
@@ -47,6 +49,55 @@ for _name in (
 
 #: experiment ids an ``experiment`` job may name (module resolved lazily)
 EXPERIMENTS = ("fig1", "tab1", "tab2", "tab3", "figs", "figo")
+
+_ANALYZE_MODULES = (
+    "repro.lang.parser",
+    "repro.partests.driver",
+    "repro.pipeline.passes",
+    "repro.arraydf.screen",
+    "repro.ir.scalarprop",
+    "repro.ir.dataflow",
+    "repro.linalg.packed",
+    "repro.predicates.oracle",
+    "repro.service.cache",
+    "repro.codegen.report",
+)
+
+#: every module a job of each kind reaches through a function-level
+#: import.  Two threads importing one import cycle at once can each be
+#: handed the other's half-initialized module (an ImportError in the
+#: middle of a job), so the first job of a kind loads them all under
+#: one lock; later jobs import nothing new.
+PRELOAD = {
+    "analyze": _ANALYZE_MODULES,
+    "experiment": _ANALYZE_MODULES
+    + (
+        "repro.experiments.fig1_examples",
+        "repro.experiments.fig_overhead",
+        "repro.experiments.fig_speedups",
+        "repro.experiments.table1_loops",
+        "repro.experiments.table2_programs",
+        "repro.experiments.table3_categories",
+        "repro.runtime.bytecode",
+        "repro.suites.extra",
+        "repro.suites.nas",
+        "repro.suites.perfect",
+        "repro.suites.specfp",
+    ),
+}
+_preloaded: set = set()
+_preload_lock = threading.Lock()
+
+
+def preload(kind: str) -> None:
+    """Import everything a *kind* job needs, once per process."""
+    if kind in _preloaded:
+        return
+    with _preload_lock:
+        if kind not in _preloaded:
+            for name in PRELOAD[kind]:
+                importlib.import_module(name)
+            _preloaded.add(kind)
 
 
 def _options_named(name: str):
@@ -99,6 +150,7 @@ def run_analyze(body: Dict) -> Tuple[Dict, Dict]:
         "degraded": False,
     }
     try:
+        preload("analyze")
         source = body.get("source")
         if source is None:
             path = body.get("file")
@@ -168,6 +220,7 @@ def run_experiment(body: Dict) -> Tuple[Dict, Dict]:
     rid = body.get("id")
     extras: Dict = {"which": None, "budget": None, "trips": {}, "degraded": False}
     try:
+        preload("experiment")
         which = body.get("which")
         if which not in EXPERIMENTS:
             raise ValueError(

@@ -23,9 +23,7 @@ Stable sections::
                  content keys (chained exactly like the summary cache:
                  source + callee keys + options), and a combined hash
                  recomputable from the receipt alone
-    knobs        analysis options + fingerprint, every feature switch
-                 (oracle / packed kernel / bytecode / screen), pipeline
-                 on/off, cache attached?
+    knobs        analysis options + fingerprint, cache attached?
     budgets      the limits *granted* (consumption is volatile → timings)
     degradation  the degraded flag and per-kind budget-trip counts
     result       terminal state and a deterministic result summary
@@ -128,9 +126,8 @@ def empty_inputs() -> Dict:
 # knobs
 # ----------------------------------------------------------------------
 def knobs_in_effect(options_name: Optional[str], opts) -> Dict:
-    """Every switch that shaped this job's answer or its cost."""
-    from repro import perf
-    from repro.pipeline import pipeline_enabled
+    """The analysis options that shaped this job's answer, and whether a
+    summary cache served it."""
     from repro.service.cache import default_cache, options_fingerprint
 
     return {
@@ -138,11 +135,6 @@ def knobs_in_effect(options_name: Optional[str], opts) -> Dict:
         "options_fingerprint": (
             options_fingerprint(opts) if opts is not None else None
         ),
-        "pred_oracle": perf.pred_oracle_enabled(),
-        "packed_kernel": perf.packed_kernel_enabled(),
-        "bytecode": perf.bytecode_enabled(),
-        "dep_screen": perf.dep_screen_enabled(),
-        "pipeline": pipeline_enabled(),
         "cache": default_cache() is not None,
     }
 
@@ -233,11 +225,8 @@ def validate_receipt(receipt: Dict) -> List[str]:
             "inputs.combined does not reproduce from the recorded unit keys"
         )
 
-    knobs = receipt["knobs"]
-    for field in ("pred_oracle", "packed_kernel", "bytecode", "dep_screen",
-                  "pipeline", "cache"):
-        if not isinstance(knobs.get(field), bool):
-            problems.append(f"knobs.{field} missing or not a boolean")
+    if not isinstance(receipt["knobs"].get("cache"), bool):
+        problems.append("knobs.cache missing or not a boolean")
 
     if "granted" not in receipt["budgets"]:
         problems.append("budgets.granted missing")

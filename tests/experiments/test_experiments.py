@@ -7,7 +7,8 @@ run (which skips the heavy full-suite passes where possible).
 
 import pytest
 
-from repro.experiments import fig1_examples
+from repro import perf
+from repro.experiments import fig1_examples, fig_overhead
 from repro.experiments.common import format_table, percent
 
 
@@ -96,3 +97,16 @@ class TestTableHarnessesOnSubset:
         c = SpeedupCurve("x", {1: 1.0, 8: 4.0})
         assert c.at(8) == 4.0
         assert c.best() == 4.0
+
+
+class TestFigOverhead:
+    def test_run_keeps_earlier_counters(self):
+        """FIGO measures each cold analysis as a rise in ``total_ops``;
+        it must not wipe what the process counted before it (a
+        ``--profile`` run of ``experiments all`` reports it)."""
+        name = "budget.degraded_loop"  # FIGO runs unbudgeted
+        perf.bump(name, 3)
+        before = perf.counter(name)
+        fig_overhead.run()
+        assert perf.counter(name) == before
+

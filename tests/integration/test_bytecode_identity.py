@@ -1,14 +1,13 @@
-"""Bit-identity of every suite program under both interpreter engines.
+"""Bit-identity of every suite program against the reference runtime.
 
-The bytecode engine is a pure cost optimization: for each of the suite
-programs (the paper's benchmark set) the full ``ExecutionResult`` —
-printed output, step count, final scalar and array state down to the
-IEEE-754 bit pattern, and the loop-event stream including two-version
-dispatch outcomes under a real ``ParallelPlan`` — must match the tree
-walker exactly, and the ELPD / combined-oracle reports (the dynamic
-ground truth the paper's tables compare against) must be identical too.
-Any divergence here would mean the experiment figures depend on which
-engine happened to run them.
+For each of the suite programs (the paper's benchmark set) the full
+``ExecutionResult`` of the bytecode engine — printed output, step count,
+final scalar and array state down to the IEEE-754 bit pattern, and the
+loop-event stream including two-version dispatch outcomes under a real
+``ParallelPlan`` — must match the reference tree walker
+(``tests/runtime/reference.py``) exactly, and the ELPD / combined-oracle
+reports (the dynamic ground truth the paper's tables compare against)
+must match the reference dict-shadow ELPD too.
 """
 
 import struct
@@ -22,6 +21,12 @@ from repro.partests.driver import analyze_program
 from repro.runtime.elpd import run_elpd, run_oracle
 from repro.runtime.interp import Interpreter
 from repro.suites import all_programs
+
+from tests.runtime.reference import (
+    TreeInterpreter,
+    run_elpd_reference,
+    run_oracle_reference,
+)
 
 PROGRAMS = [b.name for b in all_programs()]
 
@@ -49,13 +54,9 @@ def _facts(result):
     }
 
 
-def _in_mode(enabled, fn):
-    perf.set_bytecode(enabled)
+def _cold(fn):
     perf.reset_all_caches()
-    try:
-        return fn()
-    finally:
-        perf.set_bytecode(None)
+    return fn()
 
 
 def _report_facts(report):
@@ -81,19 +82,14 @@ def test_execution_identity(name):
     plan = build_plan(analyze_program(program, AnalysisOptions.predicated()))
 
     plain = [
-        _in_mode(m, lambda: _facts(Interpreter(program, bench.inputs).run()))
-        for m in (True, False)
+        _cold(lambda: _facts(engine(program, bench.inputs).run()))
+        for engine in (Interpreter, TreeInterpreter)
     ]
     assert plain[0] == plain[1], f"{name}: plain run diverged"
 
     planned = [
-        _in_mode(
-            m,
-            lambda: _facts(
-                Interpreter(program, bench.inputs, plan=plan).run()
-            ),
-        )
-        for m in (True, False)
+        _cold(lambda: _facts(engine(program, bench.inputs, plan=plan).run()))
+        for engine in (Interpreter, TreeInterpreter)
     ]
     assert planned[0] == planned[1], f"{name}: planned run diverged"
 
@@ -102,23 +98,13 @@ def test_execution_identity(name):
 def test_oracle_identity(name):
     bench = next(b for b in all_programs() if b.name == name)
     elpd = [
-        _in_mode(
-            m,
-            lambda: _report_facts(
-                run_elpd(bench.fresh_program(), bench.inputs)
-            ),
-        )
-        for m in (True, False)
+        _cold(lambda: _report_facts(fn(bench.fresh_program(), bench.inputs)))
+        for fn in (run_elpd, run_elpd_reference)
     ]
     assert elpd[0] == elpd[1], f"{name}: ELPD report diverged"
 
     oracle = [
-        _in_mode(
-            m,
-            lambda: _report_facts(
-                run_oracle(bench.fresh_program(), bench.inputs)
-            ),
-        )
-        for m in (True, False)
+        _cold(lambda: _report_facts(fn(bench.fresh_program(), bench.inputs)))
+        for fn in (run_oracle, run_oracle_reference)
     ]
     assert oracle[0] == oracle[1], f"{name}: oracle report diverged"

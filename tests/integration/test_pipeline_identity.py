@@ -1,54 +1,78 @@
-"""Byte-identity of the pass pipeline against the legacy path.
+"""Byte-identity of the pipeline's outputs.
 
-The pipeline refactor is a pure restructuring: the same code runs in
-the same data-dependence order, so
+The experiment outputs must match the recorded ones in ``golden/`` byte
+for byte, from cold caches and on a warm re-run.  A batch fanned over
+worker threads or the process pool must match the serial pipeline byte
+for byte — wall-clock timing lines excluded, everything else pinned.
 
-* the formatted experiment outputs (the paper's tables) must match the
-  legacy monolithic driver byte for byte, and
-* a batch fanned over worker threads or the process pool must match
-  the serial pipeline byte for byte — wall-clock timing lines excluded,
-  everything else pinned.
-
-Budget exhaustion inside any pass must keep the legacy sound-degradation
-semantics: decisions only ever demote to serial and nothing degraded is
-cached.
+Budget exhaustion inside any pass must degrade soundly: decisions only
+ever demote to serial and nothing degraded is cached.
 """
 
 import re
 import warnings
+from pathlib import Path
 
 from repro import perf
 from repro.arraydf.options import AnalysisOptions
 from repro.codegen.report import format_report
-from repro.experiments import fig1_examples, table2_programs
-from repro.pipeline import run_pipeline, run_pipeline_batch, set_pipeline
+from repro.experiments import (
+    fig1_examples,
+    fig_overhead,
+    table1_loops,
+    table2_programs,
+)
+from repro.pipeline import run_pipeline, run_pipeline_batch
 from repro.service import Budget, budget_scope
 from repro.service.cache import SummaryCache
 from repro.suites import all_programs, get_program
 
 _TIMING = re.compile(r"analysis: [0-9.]+ ms")
 
+GOLDEN = Path(__file__).parent / "golden"
+HARNESSES = {
+    "table1_loops": table1_loops,
+    "table2_programs": table2_programs,
+    "fig1_examples": fig1_examples,
+    "fig_overhead": fig_overhead,
+}
 
-def _formatted(pipeline_on):
-    set_pipeline(pipeline_on)
-    perf.reset_all_caches()
-    perf.reset_counters()
-    return (
-        table2_programs.run().format(),
-        fig1_examples.run().format(),
-    )
+
+def _outputs():
+    return {name: mod.run().format() + "\n" for name, mod in HARNESSES.items()}
 
 
 class TestPipelineVsLegacy:
     def test_experiment_outputs_byte_identical(self):
+        """``golden/`` holds the formatted Table 1, Table 2, Figure 1 and
+        FIGO.  The three tables are byte for byte what the monolithic
+        driver the pipeline replaced printed.  Every layer of the
+        analysis feeds them — scalar propagation, the dependence screen,
+        region summaries through the packed Fourier–Motzkin kernel, the
+        tiered predicate oracle, decisions and the ELPD runtime — so a
+        change in any of them that alters an answer shows up here.
+        FIGO-a sums the ``fm.*`` / constraint / system op counters of a
+        cold analysis per program, so its file also pins how much kernel
+        work the pipeline does.
+
+        The outputs must match from cold caches and again on a warm
+        re-run (the memo tables are then full, so the warm path serves
+        from them).  To regenerate after an intended change, write each
+        harness's ``run().format()`` plus a trailing newline to
+        ``golden/<name>.txt``.
+        """
+        expected = {
+            name: (GOLDEN / f"{name}.txt").read_text() for name in HARNESSES
+        }
         try:
-            with_pipeline = _formatted(True)
-            legacy = _formatted(False)
-        finally:
-            set_pipeline(None)
             perf.reset_all_caches()
-        assert with_pipeline[0] == legacy[0]  # Table 2 (predicated)
-        assert with_pipeline[1] == legacy[1]  # Figure 1 examples
+            cold_run = _outputs()
+            warm_run = _outputs()
+        finally:
+            perf.reset_all_caches()
+        for name in HARNESSES:
+            assert cold_run[name] == expected[name], f"{name} (cold caches)"
+            assert warm_run[name] == expected[name], f"{name} (warm re-run)"
 
 
 def _serial_report(program):

@@ -1,13 +1,17 @@
-"""Byte-identity of experiment outputs with the dependence screen on vs. off.
+"""Byte-identity of experiment outputs with the dependence screen and
+without it.
 
 The tier-0 screen is a pure cost optimization: a loop it marks
 independent must get exactly the decision the full predicated analysis
 would have produced, so the formatted experiment outputs — the paper's
-tables and figure — must match byte for byte between the two modes,
-from cold caches *and* on a warm re-run (the warm path differs: screen
-rows are cache entries of their own kind and screened units skip
-summarization outright).
+tables and figure — must match byte for byte between the screened and
+the unscreened analysis (``tests/pipeline/unscreened.py``), from cold
+caches *and* on a warm re-run (the warm path differs: screen rows are
+cache entries of their own kind and screened units skip summarization
+outright).  The screen must also not be dead code on the suite.
 """
+
+from contextlib import nullcontext
 
 from repro import perf
 from repro.experiments import (
@@ -17,32 +21,28 @@ from repro.experiments import (
     table3_categories,
 )
 
+from tests.pipeline.unscreened import unscreened
 
-def _formatted(enabled):
-    perf.set_dep_screen(enabled)
+
+def _formatted(mode):
     perf.reset_all_caches()
-    perf.reset_counters()
-    cold = (
-        table1_loops.run().format(),
-        table2_programs.run().format(),
-        table3_categories.run().format(),
-        fig1_examples.run().format(),
-    )
-    warm = (
-        table1_loops.run().format(),
-        table2_programs.run().format(),
-        table3_categories.run().format(),
-        fig1_examples.run().format(),
-    )
-    return cold, warm
+    with mode:
+        return [
+            (
+                table1_loops.run().format(),
+                table2_programs.run().format(),
+                table3_categories.run().format(),
+                fig1_examples.run().format(),
+            )
+            for _ in ("cold", "warm")
+        ]
 
 
 def test_experiment_outputs_identical_screen_on_and_off():
     try:
-        on_cold, on_warm = _formatted(True)
-        off_cold, off_warm = _formatted(False)
+        on_cold, on_warm = _formatted(nullcontext())
+        off_cold, off_warm = _formatted(unscreened())
     finally:
-        perf.set_dep_screen(None)
         perf.reset_all_caches()
     assert on_cold == off_cold  # Table 1 / Table 2 / Table 3 / Figure 1
     assert on_warm == off_warm
@@ -51,13 +51,11 @@ def test_experiment_outputs_identical_screen_on_and_off():
 
 def test_screen_counters_fire_during_experiments():
     try:
-        perf.set_dep_screen(True)
         perf.reset_all_caches()
         perf.reset_counters()
         table2_programs.run()
         counters = perf.snapshot()["counters"]
     finally:
-        perf.set_dep_screen(None)
         perf.reset_all_caches()
     assert counters.get("screen.independent", 0) > 0
     assert counters.get("screen.saved_units", 0) > 0

@@ -5,7 +5,8 @@ analysis proves parallel with a trivially-true condition — the screen
 may only ever skip work, never flip a decision.  The sweep runs the
 whole benchmark suite under every analysis-options set, then the same
 seeded random structured programs the end-to-end fuzzer generates,
-comparing the screen's verdicts against the screen-off analysis.
+comparing the screen's verdicts against the unscreened analysis
+(``tests/pipeline/unscreened.py``).
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +20,7 @@ from repro.partests.driver import analyze_program
 from repro.suites import all_programs
 
 from tests.integration.test_fuzz_soundness import programs
+from tests.pipeline.unscreened import unscreened
 
 OPTION_SETS = [
     ("base", AnalysisOptions.base()),
@@ -46,13 +48,12 @@ def _check_program(source_or_program, opts, context):
         else source_or_program
     )
     screened = _screen_labels(program)
-    perf.set_dep_screen(False)
-    try:
-        perf.reset_all_caches()
-        result = analyze_program(program, opts)
-    finally:
-        perf.set_dep_screen(None)
-        perf.reset_all_caches()
+    with unscreened():
+        try:
+            perf.reset_all_caches()
+            result = analyze_program(program, opts)
+        finally:
+            perf.reset_all_caches()
     status = {l.label: (l.status, str(l.condition)) for l in result.loops}
     for label in screened:
         st, cond = status[label]

@@ -1,9 +1,10 @@
 """Unit tests for the packed integer-matrix FM kernel.
 
-The differential fuzz suite (``test_packed_fuzz.py``) covers the
-identical-results contract broadly; these tests pin the packed form
-itself — lowering/lifting round trips, row normalization against the
-symbolic normalizers, canonicalization, and the memo tables.
+The enumeration fuzz suite (``test_packed_fuzz.py``) checks projections
+and feasibility against brute-force integer points broadly; these tests
+pin the packed form itself — lowering/lifting round trips, row
+normalization against the symbolic normalizers, canonicalization, small
+hand-checked projections, and the memo tables.
 """
 
 from fractions import Fraction
@@ -27,7 +28,6 @@ def _fresh_caches():
     perf.reset_all_caches()
     perf.reset_counters()
     yield
-    perf.set_packed_kernel(None)
 
 
 def _sys(*constraints):
@@ -156,27 +156,25 @@ class TestCanon:
 
 
 class TestEliminationStep:
-    def test_matches_legacy_eliminate(self):
-        from repro.linalg.fourier_motzkin import _eliminate_uncached
-
+    def test_eliminate_combines_bound_pairs(self):
         s = _sys(
             Constraint.ge(I, C(0)),
             Constraint.le(I, J),
             Constraint.le(J, C(10)),
         )
-        expected = _eliminate_uncached(s, "i")
-        got = packed.eliminate_packed(s, "i")
-        assert got is expected
+        # 0 <= i <= j  =>  0 <= j
+        expected = _sys(Constraint.ge(J, C(0)), Constraint.le(J, C(10)))
+        assert packed.eliminate_packed(s, "i") is expected
 
     def test_unit_eq_substitution_matches(self):
-        from repro.linalg.fourier_motzkin import _eliminate_uncached
-
         s = _sys(
             Constraint.eq(I, J + C(3)),
             Constraint.le(I, C(10)),
             Constraint.ge(I, C(0)),
         )
-        assert packed.eliminate_packed(s, "i") is _eliminate_uncached(s, "i")
+        # substitute i = j + 3 into both bounds
+        expected = _sys(Constraint.le(J, C(7)), Constraint.ge(J, C(-3)))
+        assert packed.eliminate_packed(s, "i") is expected
 
     def test_reuse_memo_hits_on_repeat(self):
         s = _sys(Constraint.ge(I, C(0)), Constraint.le(I, C(5)))
@@ -187,11 +185,8 @@ class TestEliminationStep:
         assert packed._REUSE.misses == misses
         assert packed._REUSE.hits == hits + 1
 
-    def test_eliminate_all_matches_legacy(self):
-        from repro.linalg.fourier_motzkin import (
-            _eliminate_all_legacy,
-            eliminate_all,
-        )
+    def test_eliminate_all_projects_chain(self):
+        from repro.linalg.fourier_motzkin import eliminate_all
 
         s = _sys(
             Constraint.ge(I, C(1)),
@@ -199,12 +194,10 @@ class TestEliminationStep:
             Constraint.le(J, K),
             Constraint.le(K, C(100)),
         )
-        todo = tuple(sorted(("i", "j")))
-        perf.set_packed_kernel(False)
-        expected = _eliminate_all_legacy(s, todo)
-        perf.set_packed_kernel(True)
-        assert packed.eliminate_all_packed(s, todo) is expected
-        # and the public dispatcher routes to the same result
+        # 1 <= i <= j <= k  =>  1 <= k
+        expected = _sys(Constraint.ge(K, C(1)), Constraint.le(K, C(100)))
+        assert packed.eliminate_all_packed(s, ("i", "j")) is expected
+        # and the public entry point routes to the same result
         assert eliminate_all(s, ("i", "j")) is expected
 
 

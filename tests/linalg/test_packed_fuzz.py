@@ -1,177 +1,150 @@
-"""Differential fuzzing: packed kernel vs. legacy kernel.
+"""Fourier–Motzkin against brute-force integer enumeration.
 
 Seeded random systems — mixed ``<=``/``==`` rows, rational coefficients
 (scaled integral by constraint normalization), degenerate and
-contradictory rows — are pushed through ``eliminate`` / ``eliminate_all``
-/ ``is_feasible`` / ``entails`` in both kernel modes.  The contract under
-test:
+contradictory rows — are conjoined with a box ``-BOX <= v <= BOX`` on
+every variable, so their integer points are finite and a plain loop
+over the box lists them all.  That enumeration is the oracle; it shares
+no code with the elimination kernel.  Three properties:
 
-* **identical results** — pointer-equal interned systems when the intern
-  tables are shared between the two runs, equal canonical forms always;
-* **identical counter deltas** — ``fm.eliminate`` / ``fm.pair_combine`` /
-  ``fm.fallback_drop`` advance identically from cold caches, i.e. the
-  packed kernel performs exactly the legacy eliminations (including memo
-  hit/miss structure and the blowup fallback), just on packed rows.
+* **sound projection** — every enumerated point, with the eliminated
+  variables dropped, satisfies ``eliminate`` / ``eliminate_all``'s
+  result (the projection over-approximates the integer shadow);
+* **exact projection** — when every eliminated variable has only unit
+  coefficients (±1), the projection's integer points are exactly the
+  projected enumerated points;
+* **sound feasibility** — ``is_feasible`` answers False only for a
+  system with no integer point.
 """
 
 import random
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from repro import perf
-from repro.linalg import feasibility
-from repro.linalg import fourier_motzkin as fm
-from repro.linalg import packed
 from repro.linalg.constraint import Constraint, Rel
 from repro.linalg.feasibility import is_feasible
 from repro.linalg.fourier_motzkin import eliminate, eliminate_all
-from repro.linalg.implication import system_implies
 from repro.linalg.system import LinearSystem
 from repro.symbolic.affine import AffineExpr
 
-PARITY_COUNTERS = ("fm.eliminate", "fm.pair_combine", "fm.fallback_drop")
+BOX = 3
 
 
 @pytest.fixture(autouse=True)
-def _restore_mode():
-    yield
-    perf.set_packed_kernel(None)
+def _cold():
     perf.reset_all_caches()
-    perf.reset_counters()
+    yield
+    perf.reset_all_caches()
 
 
-def _random_system(rng, nvars, nrows):
+def _random_system(rng, nvars, nrows, unit):
     vars_ = [f"v{i}" for i in range(nvars)]
     cons = []
     for _ in range(nrows):
         coeffs = {}
         for v in vars_:
             if rng.random() < 0.6:
-                c = rng.randint(-6, 6)
-                if c and rng.random() < 0.2:
+                c = rng.choice((-1, 1)) if unit else rng.randint(-6, 6)
+                if c and not unit and rng.random() < 0.2:
                     c = Fraction(c, rng.randint(1, 4))
                 if c:
                     coeffs[v] = c
         const = rng.randint(-12, 12)
-        if rng.random() < 0.15:
+        if not unit and rng.random() < 0.15:
             const = Fraction(const, rng.randint(1, 3))
         rel = Rel.EQ if rng.random() < 0.3 else Rel.LE
         cons.append(Constraint(AffineExpr(coeffs, const), rel))
-    return LinearSystem(tuple(cons))
+    for v in vars_:
+        x = AffineExpr.var(v)
+        cons.append(Constraint.ge(x, AffineExpr.const(-BOX)))
+        cons.append(Constraint.le(x, AffineExpr.const(BOX)))
+    return vars_, LinearSystem(tuple(cons))
 
 
-def _corpus(seed, count=50):
+def _corpus(seed, count=40):
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        out.append(
-            _random_system(rng, rng.randint(1, 5), rng.randint(1, 9))
+    return [
+        _random_system(rng, rng.randint(1, 4), rng.randint(1, 7), i % 2 == 1)
+        for i in range(count)
+    ]
+
+
+def _points(system, vars_):
+    """Every integer point of *system* in the box, as tuples over *vars_*."""
+    rows = [
+        (
+            [c.expr.coeff(v) for v in vars_],
+            c.expr.constant,
+            c.rel is Rel.EQ,
         )
-    # degenerate shapes the generator rarely emits
-    out.append(LinearSystem())  # universe
-    out.append(LinearSystem.empty())  # canonical false
+        for c in system
+    ]
+    out = set()
+    for point in product(range(-BOX, BOX + 1), repeat=len(vars_)):
+        for coeffs, const, is_eq in rows:
+            value = const + sum(a * x for a, x in zip(coeffs, point))
+            if value > 0 or (is_eq and value != 0):
+                break
+        else:
+            out.add(point)
     return out
 
 
-def _ops(systems):
-    """A deterministic op sequence with repeats (exercises the memos)."""
-    ops = []
-    for i, s in enumerate(systems):
-        vs = sorted(s.variables())
-        if vs:
-            ops.append(("eliminate", s, vs[0]))
-            ops.append(("eliminate_all", s, tuple(vs)))
-            ops.append(("eliminate", s, vs[0]))  # memo hit
-            ops.append(("eliminate_all", s, tuple(vs)))  # memo hit
-        ops.append(("feasible", s, None))
-        if i > 0:
-            ops.append(("implies", s, systems[i - 1]))
-    return ops
+def _unit_in(system, var):
+    return all(c.expr.coeff(var) in (-1, 0, 1) for c in system)
 
 
-def _run(op):
-    kind, a, b = op
-    if kind == "eliminate":
-        return eliminate(a, b)
-    if kind == "eliminate_all":
-        return eliminate_all(a, b)
-    if kind == "feasible":
-        return is_feasible(a)
-    return system_implies(a, b)
+def _check_projection(system, vars_, drop):
+    """Returns True when the exactness property applied."""
+    keep = [v for v in vars_ if v not in drop]
+    if len(drop) == 1:
+        projected = eliminate(system, drop[0])
+    else:
+        projected = eliminate_all(system, drop)
+    assert not (projected.variables() - set(keep)), drop
+    shadow = {
+        tuple(p for v, p in zip(vars_, point) if v in keep)
+        for point in _points(system, vars_)
+    }
+    fm_points = _points(projected, keep)
+    assert shadow <= fm_points, (system, drop, projected)
+    if len(drop) == 1 and _unit_in(system, drop[0]):
+        assert shadow == fm_points, (system, drop, projected)
+        return True
+    return False
 
 
-def _run_mode(enabled, ops):
-    perf.set_packed_kernel(enabled)
-    perf.reset_all_caches()
-    perf.reset_counters()
-    results = []
+@pytest.mark.parametrize("seed", [1234, 777, 20260806, 42, 9001])
+def test_projection_and_feasibility_match_enumeration(seed):
+    exact = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for op in ops:
-            results.append(_run(op))
-    return results, {c: perf.counter(c) for c in PARITY_COUNTERS}
+        for vars_, system in _corpus(seed):
+            points = _points(system, vars_)
+            assert is_feasible(system) or not points, system
+            for v in vars_:
+                exact += _check_projection(system, vars_, [v])
+            if len(vars_) > 1:
+                _check_projection(system, vars_, vars_[:-1])
+            # memo hits return the very same interned result
+            assert eliminate(system, vars_[0]) is eliminate(system, vars_[0])
+    assert exact > 0  # the corpus exercised the exactness property
 
 
-@pytest.mark.parametrize("seed", [1234, 777, 20260806])
-def test_counter_parity_and_equal_results(seed):
-    """Cold-cache runs in each mode: equal counters, equal canonical
-    results.  (Pointer identity is checked separately — a full cache
-    reset between modes re-seeds the intern tables, so `is` across the
-    reset is not meaningful here.)"""
-    ops = _ops(_corpus(seed))
-    legacy_results, legacy_counters = _run_mode(False, ops)
-    packed_results, packed_counters = _run_mode(True, ops)
-
-    assert legacy_counters == packed_counters
-    assert legacy_counters["fm.eliminate"] > 0  # corpus exercised the kernel
-    for op, lr, pr in zip(ops, legacy_results, packed_results):
-        if isinstance(lr, bool):
-            assert lr == pr, op
-        else:
-            # across a cache reset, compare canonical renderings
-            assert str(lr) == str(pr), op
+def test_degenerate_systems():
+    assert is_feasible(LinearSystem())
+    assert not is_feasible(LinearSystem.empty())
+    assert eliminate(LinearSystem(), "x") is LinearSystem()
+    assert eliminate_all(LinearSystem.empty(), ("x",)) is LinearSystem.empty()
 
 
-@pytest.mark.parametrize("seed", [42, 9001])
-def test_pointer_equal_results_with_shared_interns(seed):
-    """With the intern tables left shared (only the FM-layer memos
-    cleared between runs), both kernels must return the *same interned
-    objects*."""
-    systems = [
-        s for s in _corpus(seed, count=30) if s.variables()
-    ]
-    perf.reset_all_caches()
-    perf.reset_counters()
-
-    def run_all():
-        out = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for s in systems:
-                vs = sorted(s.variables())
-                out.append(eliminate(s, vs[0]))
-                out.append(eliminate_all(s, tuple(vs)))
-        return out
-
-    perf.set_packed_kernel(False)
-    legacy = run_all()
-    # clear only the FM-layer memos so interned values stay shared
-    fm._ELIM.data.clear()
-    fm._ELIM_ALL.data.clear()
-    packed._LOWER.data.clear()
-    packed._REUSE.data.clear()
-    feasibility.clear_cache()
-    perf.set_packed_kernel(True)
-    repacked = run_all()
-    for i, (lr, pr) in enumerate(zip(legacy, repacked)):
-        assert lr is pr, f"op {i}: results not pointer-equal"
-
-
-def test_blowup_fallback_parity():
-    """Systems past the pair-combination guard take the fallback drop in
-    both modes, with identical fm.fallback_drop deltas and results."""
+def test_blowup_fallback_drops_the_variable():
+    """Past the pair-combination guard the kernel drops every
+    constraint on the variable — a sound superset — and counts it."""
     n = 60  # 60 lowers x 60 uppers = 3600 pairs > MAX_CONSTRAINTS * 4
     x = AffineExpr.var("x")
     cons = []
@@ -179,10 +152,12 @@ def test_blowup_fallback_parity():
         y = AffineExpr.var(f"y{k}")
         cons.append(Constraint.le(x, y * (k + 2)))  # upper bounds on x
         cons.append(Constraint.ge(x, y * -(k + 2)))  # lower bounds on x
-    s = LinearSystem(tuple(cons))
-    ops = [("eliminate", s, "x")]
-    legacy_results, legacy_counters = _run_mode(False, ops)
-    packed_results, packed_counters = _run_mode(True, ops)
-    assert legacy_counters == packed_counters
-    assert legacy_counters["fm.fallback_drop"] == 1
-    assert str(legacy_results[0]) == str(packed_results[0])
+    cons.append(Constraint.ge(AffineExpr.var("y0"), AffineExpr.const(1)))
+    before = perf.counter("fm.fallback_drop")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        out = eliminate(LinearSystem(tuple(cons)), "x")
+    assert perf.counter("fm.fallback_drop") == before + 1
+    assert out is LinearSystem(
+        (Constraint.ge(AffineExpr.var("y0"), AffineExpr.const(1)),)
+    )

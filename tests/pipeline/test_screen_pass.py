@@ -10,9 +10,12 @@ tests:
   its loop projection (``elided=True``); :func:`reproject_loop` can
   recompute the projected value on demand and gets exactly what the
   screen-off walk produces;
-* both paths are invisible in the results — screen on and off, cold
-  and warm cache, thread and process batch executors all agree.
+* both paths are invisible in the results — screen on and off (the
+  unscreened reference of ``unscreened.py``), cold and warm cache,
+  thread and process batch executors all agree.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -24,6 +27,8 @@ from repro.lang.parser import parse_program
 from repro.pipeline import run_pipeline, run_pipeline_batch
 from repro.service.cache import SummaryCache
 from repro.suites import get_program
+
+from tests.pipeline.unscreened import unscreened
 
 #: main is caller-free and every loop screens (independent): the
 #: whole-unit skip fires for it, while the subroutines keep the full walk
@@ -65,13 +70,12 @@ def _rows(ctx):
 
 
 def _run(program, screen_on, **kw):
-    perf.set_dep_screen(screen_on)
-    try:
-        perf.reset_all_caches()
-        return run_pipeline(program, OPTS, **kw)
-    finally:
-        perf.set_dep_screen(None)
-        perf.reset_all_caches()
+    with nullcontext() if screen_on else unscreened():
+        try:
+            perf.reset_all_caches()
+            return run_pipeline(program, OPTS, **kw)
+        finally:
+            perf.reset_all_caches()
 
 
 class TestWholeUnitSkip:

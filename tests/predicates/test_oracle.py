@@ -1,11 +1,11 @@
 """Soundness tests for the tiered predicate oracle.
 
-The oracle's contract is *byte-identity*: with the oracle enabled, every
-``is_unsat`` / ``implies`` / ``equivalent`` answer must equal the ground
-(untiered, unmemoized) path's answer.  These tests drive a seeded random
-corpus of guard-shaped predicates through both paths and through the
-interval tier directly, so any tier that over-claims is caught against
-the exact Fourier–Motzkin ground truth.
+The oracle's contract is *byte-identity*: every ``is_unsat`` /
+``implies`` / ``equivalent`` answer must equal the ground (untiered,
+unmemoized) path's answer, :func:`oracle.ground_is_unsat`.  These tests
+drive a seeded random corpus of guard-shaped predicates through both
+paths and through the interval tier directly, so any tier that
+over-claims is caught against the exact Fourier–Motzkin ground truth.
 """
 
 import random
@@ -29,13 +29,10 @@ V = [AffineExpr.var(n) for n in ("x", "y", "z")]
 
 @pytest.fixture(autouse=True)
 def _fresh_oracle():
-    """Each test starts with the oracle on and every cache cold, and
-    leaves the process-wide toggle back on its environment default."""
-    perf.set_pred_oracle(True)
+    """Each test starts with every cache cold."""
     perf.reset_all_caches()
     perf.reset_counters()
     yield
-    perf.set_pred_oracle(None)
     perf.reset_all_caches()
 
 
@@ -84,21 +81,27 @@ def test_unsat_memo_is_stable():
     assert first == second
 
 
-def test_implies_and_equivalent_match_disabled_mode():
+def test_implies_and_equivalent_match_ground():
     preds = _corpus(seed=13, n=40)
     pairs = [(p, q) for p in preds[:20] for q in preds[20:]]
     pairs += [(p, p) for p in preds]
 
+    def ground_implies(p, q):
+        if p.is_false() or q.is_true():
+            return True
+        return oracle.ground_is_unsat(p_and(p, p_not(q)))
+
     with_oracle = [
         (oracle.implies(p, q), oracle.equivalent(p, q)) for p, q in pairs
     ]
-
-    perf.set_pred_oracle(False)
-    perf.reset_all_caches()
-    without = [
-        (oracle.implies(p, q), oracle.equivalent(p, q)) for p, q in pairs
+    ground = [
+        (
+            ground_implies(p, q),
+            ground_implies(p, q) and ground_implies(q, p),
+        )
+        for p, q in pairs
     ]
-    assert with_oracle == without
+    assert with_oracle == ground
 
 
 def test_simplify_preserves_meaning():

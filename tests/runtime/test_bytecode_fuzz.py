@@ -1,14 +1,15 @@
-"""Differential fuzzing: bytecode engine vs tree walker.
+"""Differential fuzzing: bytecode engine vs the reference tree walker.
 
-Seeded random mini-Fortran programs are executed on both interpreter
-engines and every observable must match *bit for bit*: printed output,
+Seeded random mini-Fortran programs are executed on the bytecode engine
+and on the tree walker of ``tests/runtime/reference.py``, and every
+observable must match *bit for bit*: printed output,
 step counts, loop events (including iteration counts), final scalar and
 array state (compared through their IEEE-754 bit patterns, so ``-0.0``
 vs ``0.0`` or any least-significant-bit drift in the vectorized path
 would fail), and — when a program faults — the exception type and
 message.  A second sweep runs the same programs under ELPD
-instrumentation and pins the shadow-state verdicts (the packed column
-representation rides the same switch as the bytecode engine).
+instrumentation and pins the packed shadow-state verdicts against the
+reference dict shadow.
 
 The generator leans on the constructs where the engines genuinely
 differ: straight-line affine loops the vectorizer takes, recurrences
@@ -28,6 +29,8 @@ from repro import perf
 from repro.lang.parser import parse_program
 from repro.runtime.elpd import run_elpd
 from repro.runtime.interp import Interpreter, RuntimeError_
+
+from tests.runtime.reference import TreeInterpreter, run_elpd_reference
 
 SIZE = 48
 ARRAYS = ["fa", "fb", "fw"]
@@ -135,72 +138,60 @@ def _bits(value):
     return ("i", value)
 
 
-def _observe(enabled, src, inputs):
+def _observe(engine, src, inputs):
     """Everything observable from one run under one engine."""
-    perf.set_bytecode(enabled)
     perf.reset_all_caches()
+    interp = engine(parse_program(src), inputs, max_steps=200_000)
     try:
-        interp = Interpreter(parse_program(src), inputs, max_steps=200_000)
-        error = None
-        try:
-            result = interp.run()
-        except (RuntimeError_, ValueError, KeyError) as exc:
-            error = (type(exc).__name__, str(exc))
-            return {
-                "error": error,
-                "outputs": list(interp.outputs),
-                "steps": interp.steps,
-            }
+        result = interp.run()
+    except (RuntimeError_, ValueError, KeyError) as exc:
         return {
-            "error": None,
-            "outputs": result.outputs,
-            "steps": result.steps,
-            "scalars": {
-                name: _bits(v) for name, v in result.main_scalars.items()
-            },
-            "scalar_order": list(result.main_scalars),
-            "arrays": {
-                name: sorted(
-                    (off, _bits(v)) for off, v in cells.items()
-                )
-                for name, cells in result.main_arrays.items()
-            },
-            "loop_events": [
-                (e.label, e.nid, e.iterations, e.ran_parallel_version)
-                for e in result.loop_events
-            ],
+            "error": (type(exc).__name__, str(exc)),
+            "outputs": list(interp.outputs),
+            "steps": interp.steps,
         }
-    finally:
-        perf.set_bytecode(None)
+    return {
+        "error": None,
+        "outputs": result.outputs,
+        "steps": result.steps,
+        "scalars": {
+            name: _bits(v) for name, v in result.main_scalars.items()
+        },
+        "scalar_order": list(result.main_scalars),
+        "arrays": {
+            name: sorted((off, _bits(v)) for off, v in cells.items())
+            for name, cells in result.main_arrays.items()
+        },
+        "loop_events": [
+            (e.label, e.nid, e.iterations, e.ran_parallel_version)
+            for e in result.loop_events
+        ],
+    }
 
 
-def _observe_elpd(enabled, src, inputs):
-    perf.set_bytecode(enabled)
+def _observe_elpd(run, src, inputs):
     perf.reset_all_caches()
-    try:
-        report = run_elpd(parse_program(src), inputs, max_steps=200_000)
-        return {
-            "steps": report.steps,
-            "observations": {
-                label: (
-                    obs.classification,
-                    obs.instances,
-                    obs.total_iterations,
-                    sorted(obs.conflict_arrays),
-                    sorted(obs.flow_arrays),
-                )
-                for label, obs in report.observations.items()
-            },
-        }
-    finally:
-        perf.set_bytecode(None)
+    report = run(parse_program(src), inputs, max_steps=200_000)
+    return {
+        "steps": report.steps,
+        "observations": {
+            label: (
+                obs.classification,
+                obs.instances,
+                obs.total_iterations,
+                sorted(obs.conflict_arrays),
+                sorted(obs.flow_arrays),
+            )
+            for label, obs in report.observations.items()
+        },
+    }
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_execution_identical(seed):
     src, inputs = generate(seed)
-    bc = _observe(True, src, inputs)
-    tree = _observe(False, src, inputs)
+    bc = _observe(Interpreter, src, inputs)
+    tree = _observe(TreeInterpreter, src, inputs)
     assert bc == tree, f"engines diverged (seed {seed})\n{src}"
 
 
@@ -211,14 +202,14 @@ def test_fault_parity(seed):
     # identical number of steps and prints (the vectorized path does its
     # bounds pre-flight exactly so it can fall back and fault in-order)
     src, inputs = generate(seed, size=16)
-    bc = _observe(True, src, inputs)
-    tree = _observe(False, src, inputs)
+    bc = _observe(Interpreter, src, inputs)
+    tree = _observe(TreeInterpreter, src, inputs)
     assert bc == tree, f"engines diverged (seed {seed}, size 16)\n{src}"
 
 
 @pytest.mark.parametrize("seed", range(0, 40, 2))
 def test_elpd_verdicts_identical(seed):
     src, inputs = generate(seed)
-    bc = _observe_elpd(True, src, inputs)
-    tree = _observe_elpd(False, src, inputs)
+    bc = _observe_elpd(run_elpd, src, inputs)
+    tree = _observe_elpd(run_elpd_reference, src, inputs)
     assert bc == tree, f"ELPD verdicts diverged (seed {seed})\n{src}"

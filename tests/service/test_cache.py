@@ -202,16 +202,12 @@ class TestCrossProcess:
         # edit inittwo only: initone's summary + decisions are reused and
         # inittwo (the dirty subtree) recomputes.  main is caller-free
         # and fully covered by the tier-0 screen, so its summarization
-        # is skipped outright — no summary lookup happens for it at all
-        # (unless the subprocess inherits REPRO_DEP_SCREEN=0, in which
-        # case main misses too).
-        raw = os.environ.get("REPRO_DEP_SCREEN", "1").strip().lower()
-        screened = raw not in ("0", "off", "false", "no")
+        # is skipped outright — no summary lookup happens for it at all.
         (tmp_path / "v.f").write_text(SRC_EDITED)
         edited_report, edited = _run_analyze(tmp_path, "v.f", cache_dir)
         assert edited["cache.program_hit"] == 0
         assert edited["cache.summary_hit"] == 1  # initone
-        assert edited["cache.summary_miss"] == (1 if screened else 2)
+        assert edited["cache.summary_miss"] == 1
         assert edited["cache.decisions_hit"] == 1
 
         # and the second run of the edited program is fully warm again,

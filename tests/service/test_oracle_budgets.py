@@ -22,10 +22,8 @@ Y = AffineExpr.var("y")
 
 @pytest.fixture(autouse=True)
 def _fresh_oracle():
-    perf.set_pred_oracle(True)
     perf.reset_all_caches()
     yield
-    perf.set_pred_oracle(None)
     perf.reset_all_caches()
 
 

@@ -1,9 +1,15 @@
 """Tests for the worker fleet draining the job queue."""
 
+import os
+import subprocess
+import sys
 import threading
 import time
 import warnings
 
+import pytest
+
+import repro
 from repro.service.queue import JobQueue
 from repro.service.workers import WorkerFleet
 
@@ -16,6 +22,21 @@ SRC = (
     "    a(i + k) = a(i) + 1.0\n"
     "  enddo\n"
     "  print a(n)\n"
+    "end\n"
+)
+
+# SRC with every name changed: none of its Fourier–Motzkin systems or
+# predicates is one SRC's analysis interns, so a concurrent SRC job
+# cannot warm a memo table this one's budget is meant to meter
+RENAMED = (
+    "program tiny\n"
+    "  integer m, j\n"
+    "  real b(100)\n"
+    "  read m, j\n"
+    "  do k = 1, m\n"
+    "    b(k + j) = b(k) + 1.0\n"
+    "  enddo\n"
+    "  print b(m)\n"
     "end\n"
 )
 
@@ -94,7 +115,7 @@ class TestFleet:
         q = JobQueue(tmp_path)
         tiny = q.submit(
             "analyze",
-            {"id": 0, "source": SRC, "budget": {"max_fm_constraints": 1}},
+            {"id": 0, "source": RENAMED, "budget": {"max_fm_constraints": 1}},
         )
         frees = [
             q.submit("analyze", {"id": i, "source": SRC})
@@ -162,3 +183,38 @@ class TestFleet:
         # every job ran exactly once across both fleets
         total = a.stats()["completed"] + b.stats()["completed"]
         assert total == 8
+
+
+class TestPreload:
+    @pytest.mark.parametrize(
+        "kind, body",
+        [
+            ("analyze", {"id": 0, "source": SRC, "report": True}),
+            ("experiment", {"id": 0, "which": "fig1"}),
+        ],
+    )
+    def test_jobs_import_nothing_after_preload(self, kind, body):
+        """Fleet threads start jobs at once in a cold process; a job that
+        imported a module cycle of its own could be handed another
+        thread's half-initialized module and fail.  After the preload a
+        job of that kind imports no further ``repro`` module."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys\n"
+            "from repro.service import jobs\n"
+            "from repro.service.queue import Job\n"
+            f"jobs.preload({kind!r})\n"
+            "before = set(sys.modules)\n"
+            f"resp, _ = jobs.execute_job(Job('x', {kind!r}, {body!r}, 0, 0, None))\n"
+            "assert resp['ok'], resp\n"
+            "print(sorted(m for m in set(sys.modules) - before"
+            " if m.startswith('repro')))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip().splitlines()[-1] == "[]"

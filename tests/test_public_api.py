@@ -3,8 +3,10 @@
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -100,3 +102,36 @@ class TestColdImports:
             "    assert not exc.code, exc.code"
         )
         assert "numpy" not in loaded
+
+
+class TestNoFeatureSwitches:
+    """Each layer has one implementation: no process-wide switch picks
+    between an optimized path and a legacy one."""
+
+    REMOVED = {
+        "repro.perf": (
+            "pred_oracle_enabled",
+            "set_pred_oracle",
+            "packed_kernel_enabled",
+            "set_packed_kernel",
+            "bytecode_enabled",
+            "set_bytecode",
+            "dep_screen_enabled",
+            "set_dep_screen",
+        ),
+        "repro.pipeline": ("pipeline_enabled", "set_pipeline"),
+        "repro.predicates.oracle": ("enabled", "set_enabled"),
+    }
+
+    def test_only_the_cache_dir_is_read_from_the_environment(self):
+        src = Path(repro.__file__).parent
+        names = set()
+        for path in src.rglob("*.py"):
+            names |= set(re.findall(r"REPRO_[A-Z0-9_]+", path.read_text()))
+        assert names <= {"REPRO_CACHE_DIR"}
+
+    def test_switch_functions_are_gone(self):
+        for module, attrs in self.REMOVED.items():
+            mod = importlib.import_module(module)
+            for attr in attrs:
+                assert not hasattr(mod, attr), f"{module}.{attr}"
